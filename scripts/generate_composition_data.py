@@ -6,10 +6,9 @@ drawn uniformly in [-4, 4]^d with a minimum pairwise separation so the
 optima sit well inside the [-5, 5]^d domain and never share a niche;
 rotations are identity for the unrotated families and orthogonal
 matrices (QR of a Gaussian draw) otherwise. Everything is seeded, so
-rerunning this script reproduces the committed files byte for byte.
-
-Also regenerates the per-problem optima database files used by offline
-scoring.
+rerunning this script reproduces the committed files byte for byte, and
+it writes nothing else. The optima of problems 11-20 are these shift
+points; those of problems 1-10 are derived in code.
 
 Usage: python scripts/generate_composition_data.py [out_dir]
 """
@@ -26,7 +25,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hillvallea.problems.composition import (FAMILIES,
                                              composition_data_filename,
                                              save_composition_data)
-from hillvallea.problems.suite import make_problem, save_optima_db
 
 SHIFT_BOX = 4.0
 BASE_SEED = 20190701
@@ -72,14 +70,6 @@ def main(out_dir: Path) -> None:
         path = out_dir / composition_data_filename(family_name, d)
         save_composition_data(path, shifts, rotations)
         print(f"wrote {path}")
-
-    optima_dir = out_dir / "optima"
-    optima_dir.mkdir(exist_ok=True)
-    for pid in range(1, 21):
-        problem = make_problem(pid, data_dir=out_dir)
-        db_path = optima_dir / f"optima_p{pid:02d}.txt"
-        save_optima_db(problem, db_path)
-        print(f"wrote {db_path}")
 
 
 if __name__ == "__main__":

@@ -1,45 +1,11 @@
 """Multimodal optimization via hill-valley clustering over restarting
 populations, with a 20-problem niching benchmark and scoring harness."""
 
-from .bounds import Bounds
-from .amalgam import (CoreSearchConfig, CoreSearchState, DEFAULT_CORE_CONFIG,
-                      core_search_step, core_search_terminated,
-                      guideline_pop_size, init_core_search)
-from .hillvalley import (Cluster, expected_edge_length, hill_valley_clustering,
-                         hill_valley_test, n_test_points)
-from .orchestrator import (DEFAULT_XI, EliteArchive, RestartParams, RunTrace,
-                           cluster_pop_size, initial_restart_params,
-                           prune_archive, restart_update, run,
-                           update_elite_archive)
-from .problems import (BudgetExhaustedError, Evaluator, InvalidProblemError,
-                       MissingDataError, OutOfBoundsError, Problem, Solution,
-                       make_problem, remaining_budget)
-from .sampling import (LabeledHistory, greedy_scattered_subset,
-                       rejection_sample, sample_initial_population,
-                       sample_uniform)
-from .scoring import (ACCURACY_LEVELS, InvalidTraceError, LevelScores,
-                      ProblemScores, ScoreReport, aggregate,
-                      count_distinct_global, dyn_f1, f1, peak_ratio,
-                      score_run, success_rate)
-from .harness import (ConfigError, ExperimentConfig, RunFailure, emit_tables,
-                      run_experiment)
+from .harness import ExperimentConfig, run_experiment
+from .orchestrator import run
+from .problems.suite import make_problem
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bounds", "CoreSearchConfig", "CoreSearchState", "DEFAULT_CORE_CONFIG",
-    "core_search_step", "core_search_terminated", "guideline_pop_size",
-    "init_core_search", "Cluster", "expected_edge_length",
-    "hill_valley_clustering", "hill_valley_test", "n_test_points",
-    "DEFAULT_XI", "EliteArchive", "RestartParams", "RunTrace",
-    "cluster_pop_size", "initial_restart_params", "prune_archive",
-    "restart_update", "run", "update_elite_archive", "BudgetExhaustedError",
-    "Evaluator", "InvalidProblemError", "MissingDataError",
-    "OutOfBoundsError", "Problem", "Solution", "make_problem",
-    "remaining_budget", "LabeledHistory", "greedy_scattered_subset",
-    "rejection_sample", "sample_initial_population", "sample_uniform",
-    "ACCURACY_LEVELS", "InvalidTraceError", "LevelScores", "ProblemScores",
-    "ScoreReport", "aggregate", "count_distinct_global", "dyn_f1", "f1",
-    "peak_ratio", "score_run", "success_rate", "ConfigError",
-    "ExperimentConfig", "RunFailure", "emit_tables", "run_experiment",
-]
+__all__ = ["ExperimentConfig", "make_problem", "run", "run_experiment",
+           "__version__"]

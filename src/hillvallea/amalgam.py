@@ -24,43 +24,34 @@ from .hillvalley import Cluster
 from .problems.evaluator import Evaluator, Solution
 
 
-@dataclass(frozen=True)
-class CoreSearchConfig:
-    selection_fraction: float = 0.35
-    eta_dec: float = 0.9
-    delta_ams: float = 2.0
-    sdr_threshold: float = 1.0
-    c_mult_min: float = 1e-10
-    c_mult_max: float = 1e3
-    init_stddev_floor: float = 1e-4    # fraction of bound range
-    step_stddev_floor: float = 1e-12   # fraction of bound range
-    fitness_tol: float = 1e-12
-    param_tol: float = 1e-12
-    # Smallest relative fitness gain that counts as progress for the
-    # stagnation counter and the scaling trigger. Best-so-far tracking
-    # still records every gain; this only stops sub-resolution gains
-    # from keeping a converged search alive.
-    material_gain_rel: float = 1e-9
-    # Stagnant generations tolerated at nominal scale once the model has
-    # contracted below the initialization floor. Short unlucky streaks
-    # during terminal polish cost nothing; sustained stagnation there
-    # shrinks the model and frees the remaining budget.
-    stagnation_grace: int = 5
-
-    @property
-    def eta_inc(self) -> float:
-        return 1.0 / self.eta_dec
-
-    @property
-    def ams_fraction(self) -> float:
-        # Half of the eventual selection receives the anticipated shift.
-        return 0.5 * self.selection_fraction
-
-    def nis_limit(self, d: int) -> int:
-        return 25 + d
+SELECTION_FRACTION = 0.35
+ETA_DEC = 0.9
+ETA_INC = 1.0 / ETA_DEC
+DELTA_AMS = 2.0
+# Half of the eventual selection receives the anticipated shift.
+AMS_FRACTION = 0.5 * SELECTION_FRACTION
+SDR_THRESHOLD = 1.0
+C_MULT_MIN = 1e-10
+C_MULT_MAX = 1e3
+INIT_STDDEV_FLOOR = 1e-4    # fraction of bound range
+STEP_STDDEV_FLOOR = 1e-12   # fraction of bound range
+FITNESS_TOL = 1e-12
+PARAM_TOL = 1e-12
+# Smallest relative fitness gain that counts as progress for the
+# stagnation counter and the scaling trigger. Best-so-far tracking
+# still records every gain; this only stops sub-resolution gains
+# from keeping a converged search alive.
+MATERIAL_GAIN_REL = 1e-9
+# Stagnant generations tolerated at nominal scale once the model has
+# contracted below the initialization floor. Short unlucky streaks
+# during terminal polish cost nothing; sustained stagnation there
+# shrinks the model and frees the remaining budget.
+STAGNATION_GRACE = 5
 
 
-DEFAULT_CORE_CONFIG = CoreSearchConfig()
+def nis_limit(d: int) -> int:
+    """No-improvement generations tolerated before termination."""
+    return 25 + d
 
 
 @dataclass(eq=False)
@@ -69,7 +60,6 @@ class CoreSearchState:
     stddev: np.ndarray
     c_mult: float
     pop_size: int
-    selection_fraction: float
     nis: int
     best: Solution
     prev_mean: np.ndarray
@@ -83,37 +73,34 @@ def guideline_pop_size(d: int) -> int:
     return int(np.ceil(10.0 * np.sqrt(d)))
 
 
-def init_core_search(cluster: Cluster, pop_size: int, bounds: Bounds,
-                     config: CoreSearchConfig = DEFAULT_CORE_CONFIG,
-                     ) -> CoreSearchState:
+def init_core_search(cluster: Cluster, pop_size: int,
+                     bounds: Bounds) -> CoreSearchState:
     xs = np.array([m.x for m in cluster.members])
     mean = xs.mean(axis=0)
     if len(xs) > 1:
         stddev = xs.std(axis=0, ddof=1)
     else:
         stddev = np.zeros(bounds.d)
-    stddev = np.maximum(stddev, config.init_stddev_floor * bounds.range)
+    stddev = np.maximum(stddev, INIT_STDDEV_FLOOR * bounds.range)
     return CoreSearchState(
-        mean=mean, stddev=stddev, c_mult=1.0, pop_size=pop_size,
-        selection_fraction=config.selection_fraction, nis=0,
+        mean=mean, stddev=stddev, c_mult=1.0, pop_size=pop_size, nis=0,
         best=cluster.best_solution, prev_mean=mean.copy(), generation=0,
         bounds=bounds,
     )
 
 
-def core_search_step(state: CoreSearchState, ev: Evaluator, bounds: Bounds,
-                     rng: np.random.Generator,
-                     config: CoreSearchConfig = DEFAULT_CORE_CONFIG,
-                     ) -> CoreSearchState:
+def core_search_step(state: CoreSearchState, ev: Evaluator,
+                     rng: np.random.Generator) -> CoreSearchState:
     pop = state.pop_size
+    bounds = state.bounds
     if ev.remaining < pop:
         return dataclasses.replace(state, terminated=True)
 
     scale = state.c_mult * state.stddev
     xs = state.mean + rng.standard_normal((pop, bounds.d)) * scale
-    n_ams = int(config.ams_fraction * pop)
+    n_ams = int(AMS_FRACTION * pop)
     if state.generation > 0 and n_ams > 0:
-        shift = config.delta_ams * state.c_mult * (state.mean - state.prev_mean)
+        shift = DELTA_AMS * state.c_mult * (state.mean - state.prev_mean)
         xs[:n_ams] += shift
     np.clip(xs, bounds.lower, bounds.upper, out=xs)
 
@@ -127,7 +114,7 @@ def core_search_step(state: CoreSearchState, ev: Evaluator, bounds: Bounds,
     cand_x = np.vstack([xs, state.best.x[None, :]])
     cand_f = np.append(fs, state.best.f)
 
-    n_sel = max(1, int(np.ceil(state.selection_fraction * pop)))
+    n_sel = max(1, int(np.ceil(SELECTION_FRACTION * pop)))
     order = np.argsort(-cand_f, kind="stable")
     sel = order[:n_sel]
     spread = float(cand_f[sel[0]] - cand_f[sel[-1]])
@@ -139,7 +126,7 @@ def core_search_step(state: CoreSearchState, ev: Evaluator, bounds: Bounds,
     else:
         best = state.best
 
-    gain_floor = config.material_gain_rel * max(1.0, abs(state.best.f))
+    gain_floor = MATERIAL_GAIN_REL * max(1.0, abs(state.best.f))
     if fs[gen_best] > state.best.f + gain_floor:
         improved_sel = sel[cand_f[sel] > state.best.f]
         avg_improvement = cand_x[improved_sel].mean(axis=0)
@@ -148,8 +135,8 @@ def core_search_step(state: CoreSearchState, ev: Evaluator, bounds: Bounds,
         # improvements as "beyond one deviation" and keeps growing.
         sdr = float(np.abs((avg_improvement - state.mean) / state.stddev).max())
         c_mult = max(state.c_mult, 1.0)
-        if sdr > config.sdr_threshold:
-            c_mult *= config.eta_inc
+        if sdr > SDR_THRESHOLD:
+            c_mult *= ETA_INC
         nis = 0
     else:
         nis = state.nis + 1
@@ -160,20 +147,20 @@ def core_search_step(state: CoreSearchState, ev: Evaluator, bounds: Bounds,
         # it is in terminal polish, where only a short streak is
         # tolerated before every stagnant generation shrinks it.
         wide = bool(np.any(c_mult * state.stddev
-                           >= config.init_stddev_floor * bounds.range))
-        hold = wide or nis <= config.stagnation_grace
+                           >= INIT_STDDEV_FLOOR * bounds.range))
+        hold = wide or nis <= STAGNATION_GRACE
         if c_mult > 1.0 or not hold:
-            c_mult *= config.eta_dec
+            c_mult *= ETA_DEC
         if hold and c_mult < 1.0:
             c_mult = 1.0
-    c_mult = float(np.clip(c_mult, config.c_mult_min, config.c_mult_max))
+    c_mult = float(np.clip(c_mult, C_MULT_MIN, C_MULT_MAX))
 
     new_mean = cand_x[sel].mean(axis=0)
     if n_sel > 1:
         new_stddev = cand_x[sel].std(axis=0, ddof=1)
     else:
         new_stddev = np.zeros(bounds.d)
-    new_stddev = np.maximum(new_stddev, config.step_stddev_floor * bounds.range)
+    new_stddev = np.maximum(new_stddev, STEP_STDDEV_FLOOR * bounds.range)
 
     return dataclasses.replace(
         state, mean=new_mean, stddev=new_stddev, c_mult=c_mult, nis=nis,
@@ -182,14 +169,11 @@ def core_search_step(state: CoreSearchState, ev: Evaluator, bounds: Bounds,
     )
 
 
-def core_search_terminated(state: CoreSearchState,
-                           fitness_tol: float = DEFAULT_CORE_CONFIG.fitness_tol,
-                           param_tol: float = DEFAULT_CORE_CONFIG.param_tol,
-                           ) -> bool:
+def core_search_terminated(state: CoreSearchState) -> bool:
     if state.terminated:
         return True
-    if state.nis > DEFAULT_CORE_CONFIG.nis_limit(state.bounds.d):
+    if state.nis > nis_limit(state.bounds.d):
         return True
-    if np.all(state.c_mult * state.stddev < param_tol * state.bounds.range):
+    if np.all(state.c_mult * state.stddev < PARAM_TOL * state.bounds.range):
         return True
-    return state.selection_spread < fitness_tol
+    return state.selection_spread < FITNESS_TOL

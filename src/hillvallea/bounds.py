@@ -32,9 +32,3 @@ class Bounds:
     @property
     def volume(self) -> float:
         return float(np.prod(self.range))
-
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)

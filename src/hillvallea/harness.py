@@ -42,7 +42,6 @@ class ExperimentConfig:
     fmt: str = "csv"
     jobs: int = 1
     budget_overrides: Mapping[int, int] = field(default_factory=dict)
-    niche_radius_overrides: Mapping[int, float] = field(default_factory=dict)
     write_traces: bool = True
 
 
@@ -75,9 +74,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 def _load_problems(cfg: ExperimentConfig) -> dict[int, Problem]:
     problems = {}
     for pid in sorted(set(cfg.problems)):
-        problem = make_problem(
-            pid, data_dir=cfg.data_dir,
-            niche_radius=cfg.niche_radius_overrides.get(pid))
+        problem = make_problem(pid, data_dir=cfg.data_dir)
         if pid in cfg.budget_overrides:
             problem = dataclasses.replace(
                 problem, budget=int(cfg.budget_overrides[pid]))

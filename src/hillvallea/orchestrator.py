@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amalgam import (DEFAULT_CORE_CONFIG, CoreSearchConfig,
-                      core_search_step, core_search_terminated,
+from .amalgam import (core_search_step, core_search_terminated,
                       guideline_pop_size, init_core_search)
 from .bounds import Bounds
 from .hillvalley import (expected_edge_length, hill_valley_clustering,
@@ -158,20 +157,12 @@ class RunTrace:
     def fitness(self) -> np.ndarray:
         return np.array([r[1] for r in self.records])
 
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([r[2] for r in self.records])
-
     def __len__(self) -> int:
         return len(self.records)
 
 
 def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
-        *, xi_scaling: str = "with-d",
-        selection_fraction: float = SELECTION_FRACTION,
-        core_config: CoreSearchConfig = DEFAULT_CORE_CONFIG,
-        prune_tol: float | None = ELITE_PRUNE_TOL,
-        ) -> tuple[EliteArchive, RunTrace]:
+        *, xi_scaling: str = "with-d") -> tuple[EliteArchive, RunTrace]:
     rng = np.random.default_rng(seed)
     ev = Evaluator(problem)
     bounds = problem.bounds
@@ -184,7 +175,7 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
         base_index = ev.evals_used
         fs = ev.evaluate_batch(xs)
 
-        n_sel = int(np.ceil(selection_fraction * p.n))
+        n_sel = int(np.ceil(SELECTION_FRACTION * p.n))
         order = np.argsort(-fs, kind="stable")[:n_sel]
         selection = [Solution(xs[j], float(fs[j]), base_index + int(j) + 1)
                      for j in order]
@@ -202,15 +193,13 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
         for cluster in sorted(clusters, key=lambda c: -c.best_solution.f):
             if ev.remaining == 0:
                 break
-            state = init_core_search(cluster, pop_size, bounds, core_config)
-            while not core_search_terminated(state, core_config.fitness_tol,
-                                             core_config.param_tol):
-                state = core_search_step(state, ev, bounds, rng, core_config)
+            state = init_core_search(cluster, pop_size, bounds)
+            while not core_search_terminated(state):
+                state = core_search_step(state, ev, rng)
             update_elite_archive(archive, state.best, ev, bounds)
         p = restart_update(p)
 
-    if prune_tol is not None:
-        prune_archive(archive, prune_tol)
+    prune_archive(archive, ELITE_PRUNE_TOL)
     trace = RunTrace(
         [(t, e.f, e.x) for t, e in zip(archive.accept_feval, archive.elites)],
         problem.budget, seed)

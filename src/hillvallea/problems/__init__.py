@@ -1,18 +1,3 @@
-from ..bounds import Bounds
-from .composition import (CF1, CF2, CF3, CF4, FAMILIES, CompositionFamily,
-                          CompositionFunction, composition_data_filename,
-                          load_composition, save_composition_data)
-from .evaluator import (BudgetExhaustedError, Evaluator, OutOfBoundsError,
-                        Solution, remaining_budget)
-from .suite import (DEFAULT_DATA_DIR, PROBLEM_IDS, InvalidProblemError,
-                    MissingDataError, Problem, load_optima_db, make_problem,
-                    save_optima_db)
+from .evaluator import Solution
 
-__all__ = [
-    "Bounds", "CF1", "CF2", "CF3", "CF4", "FAMILIES", "CompositionFamily",
-    "CompositionFunction", "composition_data_filename", "load_composition",
-    "save_composition_data", "BudgetExhaustedError", "Evaluator",
-    "OutOfBoundsError", "Solution", "remaining_budget", "DEFAULT_DATA_DIR",
-    "PROBLEM_IDS", "InvalidProblemError", "MissingDataError", "Problem",
-    "load_optima_db", "make_problem", "save_optima_db",
-]
+__all__ = ["Solution"]

@@ -8,6 +8,7 @@ sequential; batch evaluation assigns consecutive indices in row order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -38,7 +39,6 @@ class Evaluator:
     def __init__(self, problem: "Problem"):
         self.problem = problem
         self.evals_used = 0
-        self.best_seen: Solution | None = None
         self._fn = problem.fn
         self._lower = problem.bounds.lower
         self._upper = problem.bounds.upper
@@ -53,16 +53,16 @@ class Evaluator:
                 f"budget of {self.problem.budget} evaluations exhausted")
         if (x < self._lower).any() or (x > self._upper).any():
             raise OutOfBoundsError(f"point {x!r} outside problem bounds")
-        f = float(self._fn(np.asarray(x, dtype=float)[None, :])[0])
+        fs = _checked(self._fn(np.asarray(x, dtype=float)[None, :]), 1)
         self.evals_used += 1
-        if self.best_seen is None or f > self.best_seen.f:
-            self.best_seen = Solution(np.array(x, dtype=float), f, self.evals_used)
-        return f
+        return float(fs[0])
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate all rows of xs, or none: raises the budget signal
         without consuming anything when fewer than len(xs) evaluations
-        remain, so callers never see a partially timestamped batch."""
+        remain, so callers never see a partially timestamped batch.
+        Likewise a batch whose objective output is not n finite values
+        raises ValueError and consumes nothing."""
         xs = np.asarray(xs, dtype=float)
         n = xs.shape[0]
         if n == 0:
@@ -72,14 +72,20 @@ class Evaluator:
                 f"{n} evaluations requested, {self.remaining} remaining")
         if np.any(xs < self._lower) or np.any(xs > self._upper):
             raise OutOfBoundsError("batch contains out-of-bounds points")
-        fs = self._fn(xs)
-        base = self.evals_used
+        fs = _checked(self._fn(xs), n)
         self.evals_used += n
-        i = int(np.argmax(fs))
-        if self.best_seen is None or fs[i] > self.best_seen.f:
-            self.best_seen = Solution(xs[i].copy(), float(fs[i]), base + i + 1)
         return fs
 
 
-def remaining_budget(ev: Evaluator) -> int:
-    return ev.remaining
+def _checked(fs: np.ndarray, n: int) -> np.ndarray:
+    """The objective's output for n points, which must be n finite
+    values: NaN, inf or a wrong shape would otherwise flow silently
+    into the sorts and comparisons downstream."""
+    if getattr(fs, "shape", None) != (n,):
+        raise ValueError(f"objective returned shape {np.shape(fs)} "
+                         f"for {n} points, expected ({n},)")
+    # Hill-valley probes are single-point calls; math.isfinite on the
+    # lone value costs a tenth of np.isfinite there.
+    if not (math.isfinite(fs[0]) if n == 1 else np.isfinite(fs).all()):
+        raise ValueError("objective returned a non-finite value")
+    return fs

@@ -43,11 +43,6 @@ class Problem:
     niche_radius: float
     fn: Callable[[np.ndarray], np.ndarray]
 
-    @property
-    def optima(self) -> list[tuple[np.ndarray, float]]:
-        return [(p, float(f))
-                for p, f in zip(self.optima_positions, self.optima_fitness)]
-
 
 # One row per problem: name, dimension, global-optima count, budget,
 # (lower, upper) per-coordinate bounds, scoring niche radius, and for
@@ -93,13 +88,11 @@ _CLOSED_FORM_FN = {
 PROBLEM_IDS = tuple(sorted(_TABLE))
 
 
-def make_problem(problem_id: int, data_dir: Path | str | None = None,
-                 niche_radius: float | None = None) -> Problem:
+def make_problem(problem_id: int,
+                 data_dir: Path | str | None = None) -> Problem:
     if problem_id not in _TABLE:
         raise InvalidProblemError(f"problem id must be 1..20, got {problem_id}")
     name, d, n_global, budget, box, radius, family_name = _TABLE[problem_id]
-    if niche_radius is not None:
-        radius = float(niche_radius)
 
     if family_name is None:
         bounds = Bounds(np.array(box[0]), np.array(box[1]))
@@ -125,19 +118,3 @@ def make_problem(problem_id: int, data_dir: Path | str | None = None,
     return Problem(problem_id, name, d, bounds, n_global, budget,
                    positions, fitness, radius, fn)
 
-
-def save_optima_db(problem: Problem, path: Path | str) -> None:
-    """One row per optimum: d coordinates then the optimum fitness."""
-    rows = np.column_stack([problem.optima_positions, problem.optima_fitness])
-    np.savetxt(path, rows, fmt="%.17g")
-
-
-def load_optima_db(path: Path | str, d: int) -> tuple[np.ndarray, np.ndarray]:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingDataError(f"optima database file not found: {path}")
-    rows = np.atleast_2d(np.loadtxt(path, dtype=float))
-    if rows.shape[1] != d + 1:
-        raise InvalidProblemError(
-            f"{path}: expected {d + 1} columns, got {rows.shape[1]}")
-    return rows[:, :d], rows[:, d]

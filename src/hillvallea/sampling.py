@@ -43,8 +43,7 @@ def sample_uniform(n: int, bounds: Bounds,
 
 
 def rejection_sample(n: int, bounds: Bounds, history: LabeledHistory,
-                     rng: np.random.Generator,
-                     return_stats: bool = False):
+                     rng: np.random.Generator) -> np.ndarray:
     """Draw n points uniformly, rejecting a draw with probability 0.9
     when its nearest d+1 history points all carry one cluster label.
     Each slot is redrawn at most MAX_REDRAWS times, then the final draw
@@ -54,20 +53,14 @@ def rejection_sample(n: int, bounds: Bounds, history: LabeledHistory,
     candidates whose gate fired are looked up in the history; a draw
     that passes the gate is accepted whatever its neighbors."""
     if len(history) == 0:
-        out = sample_uniform(n, bounds, rng)
-        if return_stats:
-            return out, {"draws": n, "rejections": 0}
-        return out
+        return sample_uniform(n, bounds, rng)
 
     single_basin = _single_basin_test(history, bounds)
     out = np.empty((n, bounds.d))
     unfilled = np.arange(n)
-    draws = 0
-    rejections = 0
     for round_no in range(MAX_REDRAWS + 1):
         m = len(unfilled)
         candidates = sample_uniform(m, bounds, rng)
-        draws += m
         if round_no == MAX_REDRAWS:
             out[unfilled] = candidates
             break
@@ -75,14 +68,11 @@ def rejection_sample(n: int, bounds: Bounds, history: LabeledHistory,
         gated = np.flatnonzero(reject)
         if len(gated):
             reject[gated] = single_basin(candidates[gated])
-        rejections += int(reject.sum())
         accepted = unfilled[~reject]
         out[accepted] = candidates[~reject]
         unfilled = unfilled[reject]
         if len(unfilled) == 0:
             break
-    if return_stats:
-        return out, {"draws": draws, "rejections": rejections}
     return out
 
 

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from hillvallea.amalgam import (CoreSearchConfig, DEFAULT_CORE_CONFIG,
-                                core_search_step, core_search_terminated,
+import hillvallea.amalgam as amalgam
+from hillvallea.amalgam import (core_search_step, core_search_terminated,
                                 guideline_pop_size, init_core_search)
 from hillvallea.bounds import Bounds
 from hillvallea.hillvalley import Cluster
@@ -48,19 +48,18 @@ def test_guideline_pop_size(d, expected):
 
 
 def test_default_config_constants():
-    cfg = DEFAULT_CORE_CONFIG
-    assert cfg.selection_fraction == 0.35
-    assert cfg.eta_dec == 0.9
-    assert cfg.eta_inc == 1.0 / 0.9
-    assert cfg.delta_ams == 2.0
-    assert cfg.sdr_threshold == 1.0
-    assert cfg.c_mult_min == 1e-10
-    assert cfg.c_mult_max == 1e3
-    assert cfg.fitness_tol == 1e-12
-    assert cfg.param_tol == 1e-12
-    assert cfg.nis_limit(4) == 29
+    assert amalgam.SELECTION_FRACTION == 0.35
+    assert amalgam.ETA_DEC == 0.9
+    assert amalgam.ETA_INC == 1.0 / 0.9
+    assert amalgam.DELTA_AMS == 2.0
+    assert amalgam.SDR_THRESHOLD == 1.0
+    assert amalgam.C_MULT_MIN == 1e-10
+    assert amalgam.C_MULT_MAX == 1e3
+    assert amalgam.FITNESS_TOL == 1e-12
+    assert amalgam.PARAM_TOL == 1e-12
+    assert amalgam.nis_limit(4) == 29
     # Selection size at the contract's reference point.
-    assert max(1, int(np.ceil(cfg.selection_fraction * 20))) == 7
+    assert max(1, int(np.ceil(amalgam.SELECTION_FRACTION * 20))) == 7
 
 
 # --- initialization ---------------------------------------------------------
@@ -99,7 +98,7 @@ def test_step_consumes_exactly_pop_size_and_never_loses_the_best():
     rng = np.random.default_rng(0)
     best_f = state.best.f
     for step in range(1, 51):
-        state = core_search_step(state, ev, problem.bounds, rng)
+        state = core_search_step(state, ev, rng)
         assert ev.evals_used == 10 * step
         assert state.best.f >= best_f
         best_f = state.best.f
@@ -117,7 +116,7 @@ def test_step_is_deterministic():
         state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
         rng = np.random.default_rng(seed)
         for _ in range(5):
-            state = core_search_step(state, ev, problem.bounds, rng)
+            state = core_search_step(state, ev, rng)
         return state
 
     a, b = one(42), one(42)
@@ -133,8 +132,7 @@ def test_step_without_budget_terminates_without_consuming():
     problem = offset_bowl_problem(budget=7)   # fewer than one population
     ev = Evaluator(problem)
     state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
-    stepped = core_search_step(state, ev, problem.bounds,
-                               np.random.default_rng(0))
+    stepped = core_search_step(state, ev, np.random.default_rng(0))
     assert stepped.terminated
     assert ev.evals_used == 0
     np.testing.assert_array_equal(stepped.mean, state.mean)
@@ -153,8 +151,7 @@ def test_samples_stay_inside_bounds():
     member = Solution(np.array([1.0]), -1.0, 1)
     state = init_core_search(Cluster([member], 0), 16, problem.bounds)
     state = dataclasses.replace(state, stddev=np.array([100.0]))
-    core_search_step(state, Evaluator(problem), problem.bounds,
-                     np.random.default_rng(3))
+    core_search_step(state, Evaluator(problem), np.random.default_rng(3))
     sampled = np.vstack(fn_box)
     assert np.all(sampled >= -1.0) and np.all(sampled <= 1.0)
     # The huge spread really did press against both walls.
@@ -211,7 +208,7 @@ def test_converges_to_the_offset_peak_in_nearly_all_runs():
         state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
         rng = np.random.default_rng(seed)
         while not core_search_terminated(state):
-            state = core_search_step(state, ev, problem.bounds, rng)
+            state = core_search_step(state, ev, rng)
         if abs(float(state.best.x[0]) - 3.0) < 1e-5:
             hits += 1
     assert hits >= 95

@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hillvallea.bounds import Bounds
 from hillvallea.problems import functions
 from hillvallea.problems.evaluator import (BudgetExhaustedError, Evaluator,
-                                           OutOfBoundsError,
-                                           remaining_budget)
+                                           OutOfBoundsError)
 from hillvallea.problems.suite import (DEFAULT_DATA_DIR, InvalidProblemError,
                                        MissingDataError, PROBLEM_IDS,
-                                       load_optima_db, make_problem,
-                                       save_optima_db)
+                                       make_problem)
+
+from conftest import synthetic_problem
+
+REPO = Path(__file__).resolve().parent.parent
 
 # Expected (dimension, global-optima count, budget) per problem id.
 TABLE_ROWS = {
@@ -57,7 +63,6 @@ def test_every_problem_constructs_consistently(pid):
     assert (p.d, p.n_global_optima, p.budget) == (d, n_global, budget)
     assert p.optima_positions.shape == (n_global, d)
     assert p.optima_fitness.shape == (n_global,)
-    assert len(p.optima) == n_global
     # All optima inside the box.
     assert np.all(p.optima_positions >= p.bounds.lower)
     assert np.all(p.optima_positions <= p.bounds.upper)
@@ -78,7 +83,8 @@ def test_optima_are_local_maxima(pid):
     step = 1e-4 * p.bounds.range
     for pos, fit in zip(p.optima_positions, p.optima_fitness):
         for _ in range(8):
-            nudge = p.bounds.clip(pos + step * rng.uniform(-1, 1, p.d))
+            nudge = np.clip(pos + step * rng.uniform(-1, 1, p.d),
+                            p.bounds.lower, p.bounds.upper)
             if np.array_equal(nudge, pos):
                 continue
             assert float(p.fn(nudge[None, :])[0]) <= fit + 1e-12
@@ -155,20 +161,31 @@ def test_default_data_dir_ships_with_package():
     assert (DEFAULT_DATA_DIR / "cf4_d20.txt").is_file()
 
 
-def test_niche_radius_override():
-    assert make_problem(6).niche_radius == 0.5
-    assert make_problem(6, niche_radius=0.25).niche_radius == 0.25
+def test_generator_reproduces_the_packaged_data_and_nothing_else(tmp_path):
+    script = REPO / "scripts" / "generate_composition_data.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                   capture_output=True)
+    written = sorted(p.name for p in tmp_path.rglob("*"))
+    packaged = sorted(p.name for p in DEFAULT_DATA_DIR.glob("cf*_d*.txt"))
+    assert len(packaged) == 10
+    assert written == packaged
+    for name in packaged:
+        assert ((tmp_path / name).read_bytes()
+                == (DEFAULT_DATA_DIR / name).read_bytes()), name
+
+
+def test_every_package_data_glob_matches_a_file():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((REPO / "pyproject.toml").read_text())
+    globs = config["tool"]["setuptools"]["package-data"]
+    assert globs
+    for package, patterns in globs.items():
+        root = REPO / "src" / package.replace(".", "/")
+        for pattern in patterns:
+            assert list(root.glob(pattern)), f"{package}: {pattern}"
 
 
 # --- evaluator -----------------------------------------------------------
-
-
-def test_remaining_budget_countdown():
-    p = make_problem(1)
-    ev = Evaluator(p)
-    assert remaining_budget(ev) == 50_000
-    ev.evaluate(np.array([15.0]))
-    assert remaining_budget(ev) == 49_999
 
 
 def test_budget_exhaustion_signals():
@@ -199,19 +216,6 @@ def test_evaluate_is_deterministic():
     assert ev.evaluate(x) == ev.evaluate(x)
 
 
-def test_best_seen_tracks_strict_improvements_with_index():
-    p = make_problem(2)
-    ev = Evaluator(p)
-    ev.evaluate(np.array([0.2]))   # poor
-    first_best = ev.best_seen
-    assert first_best.eval_index == 1
-    ev.evaluate(np.array([0.1]))   # peak
-    assert ev.best_seen.f == pytest.approx(1.0, abs=1e-12)
-    assert ev.best_seen.eval_index == 2
-    ev.evaluate(np.array([0.3]))   # ties the peak: incumbent kept
-    assert ev.best_seen.eval_index == 2
-
-
 def test_batch_evaluation_is_all_or_nothing():
     p = dataclasses.replace(make_problem(2), budget=5)
     ev = Evaluator(p)
@@ -230,10 +234,9 @@ def test_batch_indices_are_consecutive_row_order():
     xs = np.array([[0.6], [0.1], [0.4]])
     fs = ev.evaluate_batch(xs)
     assert ev.evals_used == 4
-    # Best of the batch is row 1, evaluated second => index 3 overall.
+    # Row order is kept: the peak at 0.1 is row 1.
     assert int(np.argmax(fs)) == 1
-    assert ev.best_seen.eval_index == 3
-    assert ev.best_seen.f == pytest.approx(1.0, abs=1e-12)
+    assert fs[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batch_rejects_out_of_bounds_without_consuming():
@@ -251,34 +254,66 @@ def test_empty_batch_is_free():
     assert ev.evals_used == 0
 
 
-# --- optima database files ----------------------------------------------
+# --- objective output check ---------------------------------------------
 
 
-def test_optima_db_roundtrip(tmp_path):
-    p = make_problem(4)
-    path = tmp_path / "optima_p04.txt"
-    save_optima_db(p, path)
-    positions, fitness = load_optima_db(path, p.d)
-    np.testing.assert_array_equal(positions, p.optima_positions)
-    np.testing.assert_array_equal(fitness, p.optima_fitness)
+def scripted_evaluator():
+    """An evaluator on [0, 1] whose objective returns whatever
+    `out["fs"]` holds, whatever it is asked."""
+    out = {}
+    problem = synthetic_problem(lambda xs: out["fs"], [0.0], [1.0],
+                                optima_positions=[[0.5]],
+                                optima_fitness=[0.0])
+    return Evaluator(problem), out
 
 
-def test_optima_db_ships_for_every_problem():
-    for pid in PROBLEM_IDS:
-        path = DEFAULT_DATA_DIR / "optima" / f"optima_p{pid:02d}.txt"
-        assert path.is_file()
-        positions, fitness = load_optima_db(path, TABLE_ROWS[pid][0])
-        assert len(positions) == TABLE_ROWS[pid][1]
-        assert len(fitness) == TABLE_ROWS[pid][1]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def test_optima_db_validates_shape(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1.0 2.0 3.0\n")
-    with pytest.raises(InvalidProblemError):
-        load_optima_db(path, 4)
-    with pytest.raises(MissingDataError):
-        load_optima_db(tmp_path / "absent.txt", 2)
+@settings(deadline=None, max_examples=100)
+@given(st.lists(finite_floats, min_size=1, max_size=20), st.data())
+def test_non_finite_output_raises_without_consuming(values, data):
+    ev, out = scripted_evaluator()
+    out["fs"] = np.ones(3)
+    ev.evaluate_batch(np.full((3, 1), 0.5))
+    bad = np.array(values)
+    i = data.draw(st.integers(0, len(bad) - 1))
+    bad[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    out["fs"] = bad
+    with pytest.raises(ValueError):
+        ev.evaluate_batch(np.full((len(bad), 1), 0.5))
+    assert ev.evals_used == 3
+    out["fs"] = bad[i:i + 1]
+    with pytest.raises(ValueError):
+        ev.evaluate(np.array([0.5]))
+    assert ev.evals_used == 3
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 20), st.booleans())
+def test_wrongly_shaped_output_raises_without_consuming(m, column):
+    ev, out = scripted_evaluator()
+    out["fs"] = np.zeros((m, 1)) if column else np.zeros(m + 1)
+    with pytest.raises(ValueError, match="shape"):
+        ev.evaluate_batch(np.full((m, 1), 0.5))
+    assert ev.evals_used == 0
+    out["fs"] = np.zeros((1, 1)) if column else np.zeros(2)
+    with pytest.raises(ValueError, match="shape"):
+        ev.evaluate(np.array([0.5]))
+    assert ev.evals_used == 0
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(finite_floats, min_size=1, max_size=20))
+def test_finite_output_is_returned_unchanged(values):
+    ev, out = scripted_evaluator()
+    out["fs"] = np.array(values)
+    fs = ev.evaluate_batch(np.full((len(values), 1), 0.5))
+    np.testing.assert_array_equal(fs, np.array(values))
+    assert ev.evals_used == len(values)
+    out["fs"] = np.array(values[:1])
+    assert ev.evaluate(np.array([0.5])) == values[0]
+    assert ev.evals_used == len(values) + 1
 
 
 # --- bounds ---------------------------------------------------------------
@@ -295,7 +330,3 @@ def test_bounds_geometry():
     b = Bounds(np.array([0.0, -1.0]), np.array([2.0, 1.0]))
     assert b.d == 2
     assert b.volume == 4.0
-    assert b.contains(np.array([1.0, 0.0]))
-    assert not b.contains(np.array([3.0, 0.0]))
-    np.testing.assert_array_equal(b.clip(np.array([3.0, -5.0])),
-                                  np.array([2.0, -1.0]))
