@@ -3,7 +3,7 @@ committed fingerprints bit for bit.
 
 A fingerprint holds a SHA-256 of the run's trace records, a SHA-256 of
 every point the run evaluated (in call order) and the evaluation count.
-The covered problems are at most two-dimensional, so no step of these
+The covered problems are at most three-dimensional, so no step of these
 runs goes through BLAS; the hashes are still only guaranteed on one
 platform (numpy build and CPU). Regenerate with
 
@@ -27,7 +27,7 @@ from hillvallea.orchestrator import run
 from hillvallea.problems.suite import make_problem
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden" / "seed0_traces.json"
-GOLDEN_PIDS = (1, 2, 3, 4, 5, 10)
+GOLDEN_PIDS = tuple(range(1, 11))
 
 
 def fingerprint(pid: int, seed: int = 0) -> dict:
