@@ -27,8 +27,10 @@ def parse_problem_ids(text: str) -> tuple[int, ...]:
         if not part:
             continue
         if "-" in part:
-            lo, _, hi = part.partition("-")
-            ids.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"reversed problem range {part!r}")
+            ids.extend(range(lo, hi + 1))
         else:
             ids.append(int(part))
     if not ids:

@@ -76,11 +76,12 @@ def rejection_sample(n: int, bounds: Bounds, history: LabeledHistory,
     return out
 
 
-# Rejection lookups in d <= _CERTIFY_MAX_D first consult a grid of
-# about _CELLS_PER_HISTORY_POINT cells per history point, each checked
-# against its _CERTIFY_NEIGHBORS nearest history points. Speed-only
-# knobs: a cell that cannot be certified falls back to the exact query.
-_CERTIFY_MAX_D = 3
+# Both grids, the subset route's and the rejection lookups', span at
+# most _GRID_MAX_D axes. The lookups first consult about
+# _CELLS_PER_HISTORY_POINT cells per history point, each checked against
+# its _CERTIFY_NEIGHBORS nearest history points. Speed-only knobs: a
+# cell that cannot be certified falls back to the exact query.
+_GRID_MAX_D = 3
 _CELLS_PER_HISTORY_POINT = 2
 _CERTIFY_NEIGHBORS = 32
 
@@ -89,23 +90,15 @@ def _single_basin_test(history: LabeledHistory, bounds: Bounds):
     """Predicate over an (m, d) array: whether each point's nearest
     d+1 history points all carry one label."""
     k = min(bounds.d + 1, len(history))
-    if bounds.d == 1 and k == 2:
-        order = np.argsort(history.points[:, 0], kind="stable")
-        hist_sorted = history.points[order, 0]
-        labels_sorted = history.labels[order]
-        return lambda q: _flanking_pair_same_label(q[:, 0], hist_sorted,
-                                                   labels_sorted)
-
     tree = cKDTree(history.points)
 
     def query(q: np.ndarray) -> np.ndarray:
         labels = history.labels[tree.query(q, k=k)[1].reshape(len(q), k)]
         return (labels == labels[:, :1]).all(axis=1)
 
-    if bounds.d > _CERTIFY_MAX_D:
+    if bounds.d > _GRID_MAX_D:
         return query
-    certified, cell_of = _single_label_cells(tree, history.labels, bounds,
-                                             k)
+    certified, cell_of = _single_label_cells(tree, history.labels, bounds, k)
 
     def test(q: np.ndarray) -> np.ndarray:
         out = certified[cell_of(q)]
@@ -131,10 +124,8 @@ def _single_label_cells(tree: cKDTree, labels: np.ndarray, bounds: Bounds,
     per_axis = max(1, int((_CELLS_PER_HISTORY_POINT * tree.n) ** (1.0 / d)))
     width = bounds.range / per_axis
     rho = 0.5 * float(np.sqrt((width ** 2).sum()))
-    axes = [bounds.lower[j] + (np.arange(per_axis) + 0.5) * width[j]
-            for j in range(d)]
-    centers = np.stack(np.meshgrid(*axes, indexing="ij"),
-                       axis=-1).reshape(-1, d)
+    centers = bounds.lower + (np.indices((per_axis,) * d).reshape(d, -1).T
+                              + 0.5) * width
     kk = min(_CERTIFY_NEIGHBORS, tree.n)
     dist, idx = tree.query(centers, k=kk)
     dist = dist.reshape(len(centers), kk)
@@ -156,47 +147,24 @@ def _single_label_cells(tree: cKDTree, labels: np.ndarray, bounds: Bounds,
     return certified, cell_of
 
 
-def _flanking_pair_same_label(q: np.ndarray, hist_sorted: np.ndarray,
-                              labels_sorted: np.ndarray) -> np.ndarray:
-    """Whether each query's two nearest history points share one label.
-    In one dimension the two nearest neighbors are a contiguous window
-    in sorted order, so a binary search replaces a tree query."""
-    h = len(hist_sorted)
-    pos = np.searchsorted(hist_sorted, q)
-    left = np.clip(pos - 1, 0, h - 1)
-    right = np.clip(pos, 0, h - 1)
-    first = np.where(np.abs(q - hist_sorted[left])
-                     <= np.abs(hist_sorted[right] - q), left, right)
-    lo = np.clip(first - 1, 0, h - 1)
-    hi = np.clip(first + 1, 0, h - 1)
-    d_lo = np.where(first == 0, np.inf, np.abs(q - hist_sorted[lo]))
-    d_hi = np.where(first == h - 1, np.inf, np.abs(hist_sorted[hi] - q))
-    second = np.where(d_lo <= d_hi, lo, hi)
-    return labels_sorted[first] == labels_sorted[second]
-
-
 def greedy_scattered_subset(candidates: np.ndarray, k: int) -> np.ndarray:
     """Farthest-point subset: seed with the candidate farthest from the
     centroid, then repeatedly add the candidate maximizing the minimum
     distance to the chosen set. Ties break to the lowest index."""
     candidates = np.asarray(candidates, dtype=float)
-    n = len(candidates)
-    if k > n:
-        raise ValueError(f"cannot select {k} of {n} candidates")
+    if k > len(candidates):
+        raise ValueError(f"cannot select {k} of {len(candidates)} candidates")
     if k == 0:
         return candidates[:0]
     centroid = candidates.mean(axis=0)
     seed = int(np.argmax(((candidates - centroid) ** 2).sum(axis=1)))
-    if n <= _EAGER_LIMIT:
-        chosen = _eager_farthest_points(candidates, k, seed)
-    elif candidates.shape[1] <= 3:
+    if candidates.shape[1] <= _GRID_MAX_D:
         chosen = _grid_farthest_points(candidates, k, seed)
     else:
         chosen = _gemv_farthest_points(candidates, k, seed)
     return candidates[chosen]
 
 
-_EAGER_LIMIT = 2048
 # The grid route keeps a running maximum of the cached distances per
 # block of 2**_BLOCK_SHIFT cell-sorted candidates, checks a batch for
 # conflicts _CONFLICT_CHUNK members at a time and reads at most
@@ -206,32 +174,18 @@ _BLOCK_SHIFT = 6
 _BLOCK = 1 << _BLOCK_SHIFT
 _CONFLICT_CHUNK = 64
 _MAX_BATCH = 512
-
-
-def _eager_farthest_points(candidates: np.ndarray, k: int,
-                           seed: int) -> list[int]:
-    chosen = [seed]
-    min_d2 = ((candidates - candidates[seed]) ** 2).sum(axis=1)
-    min_d2[seed] = -np.inf  # never re-pick a chosen candidate
-    for _ in range(k - 1):
-        nxt = int(np.argmax(min_d2))
-        chosen.append(nxt)
-        np.minimum(min_d2, ((candidates - candidates[nxt]) ** 2).sum(axis=1),
-                   out=min_d2)
-        min_d2[nxt] = -np.inf
-    return chosen
+# _EARLIER[i, j]: batch member i comes before member j
+_EARLIER = np.triu(np.ones((_MAX_BATCH, _MAX_BATCH), dtype=bool), 1)
 
 
 def _gemv_farthest_points(candidates: np.ndarray, k: int,
                           seed: int) -> np.ndarray:
-    """Eager refresh written as norms + one matrix-vector product per
-    pick, which keeps the per-pick cost to a few in-place passes for
-    wide (d >= 4) candidate arrays."""
-    n = len(candidates)
+    """One pick at a time for d > _GRID_MAX_D: each pick refreshes the
+    cached distances with norms and one matrix-vector product."""
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = seed
     norms = np.einsum("ij,ij->i", candidates, candidates)
-    buf = np.empty(n)
+    buf = np.empty(len(candidates))
     min_d2 = ((candidates - candidates[seed]) ** 2).sum(axis=1)
     min_d2[seed] = -np.inf
     for m in range(1, k):
@@ -248,36 +202,34 @@ def _gemv_farthest_points(candidates: np.ndarray, k: int,
 
 def _grid_farthest_points(candidates: np.ndarray, k: int,
                           seed: int) -> np.ndarray:
-    """Grid-accelerated variant of the same selection for d <= 3 that
-    takes several exact picks per iteration.
+    """The selection for d <= _GRID_MAX_D, several exact picks at a time.
 
-    The top cached distances are read in eager order (largest first,
+    The top cached distances are read in pick order (largest first,
     ties to the lowest index). The longest prefix of them in which no
     member is closer to an earlier member than its own cached distance
-    is a run of consecutive eager picks: no member's cached value can
+    is a run of consecutive single picks: no member's cached value can
     shrink under the earlier ones, and every other value only ever
     decreases, so each member is still the exact argmax in its turn.
     The picks then refresh only the candidates in the grid cells within
     their own max-min distance; a candidate farther away cannot shrink.
     """
     n, d = candidates.shape
-    lo = candidates.min(axis=0)
-    span = candidates.max(axis=0) - lo
-    vol = float(np.prod(np.maximum(span, 1e-300)))
+    # The cell geometry is padded to three axes of which the unused
+    # ones hold a single cell.
+    pts = np.zeros((n, 3))
+    pts[:, :d] = candidates
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    vol = float(np.prod(np.maximum(span[:d], 1e-300)))
     mx = int(np.ceil((4.0 * k) ** (1.0 / d))) + 1
     h = max((vol / k) ** (1.0 / d), float(span.max()) / mx, 1e-300)
     inv_h = 1.0 / h
-    # The cell geometry is padded to three axes of which the unused
-    # ones hold a single cell.
-    lo3 = np.zeros(3)
-    lo3[:d] = lo
-    nx3 = np.ones(3, dtype=np.int64)
-    nx3[:d] = (span / h).astype(np.int64) + 1
-    cell = ((candidates - lo) * inv_h).astype(np.int64)
-    np.minimum(cell, nx3[:d] - 1, out=cell)
-    flat = cell @ np.array([1, nx3[0], nx3[0] * nx3[1]])[:d]
+    nx = (span / h).astype(np.int64) + 1
+    cell = ((pts - lo) * inv_h).astype(np.int64)
+    np.minimum(cell, nx - 1, out=cell)
+    flat = cell @ np.array([1, nx[0], nx[0] * nx[1]])
     order = np.argsort(flat, kind="stable")
-    starts = np.searchsorted(flat[order], np.arange(int(nx3.prod()) + 1))
+    starts = np.searchsorted(flat[order], np.arange(int(nx.prod()) + 1))
 
     # Everything below lives in cell-sorted positions, so that a row of
     # cells is one contiguous slice; `tiebreak` maps a position back to
@@ -293,7 +245,6 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
     blockmax = blocks.max(axis=1)
     touched = np.zeros(nb, dtype=bool)
     lanes = np.arange(_BLOCK)
-    earlier = np.triu(np.ones((_MAX_BATCH, _MAX_BATCH), dtype=bool), 1)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = seed
     m = 1
@@ -313,13 +264,13 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
         top = np.lexsort((tiebreak[pos], -vals[pos]))[:size]
         top_pos = pos[top]
         top_d2 = vals[top_pos]
-        xs = candidates[order[top_pos]]
+        xs = pts[order[top_pos]]
         run = size
         for c0 in range(0, size, _CONFLICT_CHUNK):
             c1 = min(c0 + _CONFLICT_CHUNK, size)
             pair_d2 = _sq_dist([xs[:c1, j, None] for j in range(d)],
                                xs[c0:c1])
-            shrinks = ((pair_d2 < top_d2[c0:c1]) & earlier[:c1, c0:c1]
+            shrinks = ((pair_d2 < top_d2[c0:c1]) & _EARLIER[:c1, c0:c1]
                        ).any(axis=0)
             if shrinks.any():
                 run = c0 + int(shrinks.argmax())
@@ -330,18 +281,13 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
         size = min(2 * run + 8, _MAX_BATCH)
 
         touched[picks >> _BLOCK_SHIFT] = True
-        # only exact duplicates of picked points remain at distance
-        # zero, and their cached values are already zero
-        live = top_d2[:run] > 0.0
-        if live.any():
-            ring, owner = _ring_positions(
-                xs[:run][live], np.sqrt(top_d2[:run][live]), lo3, inv_h,
-                nx3, starts)
-            dd = _sq_dist([c[ring] for c in cols], xs[:run][live][owner])
-            shrunk = dd < mind2[ring]
-            hit = ring[shrunk]
-            np.minimum.at(mind2, hit, dd[shrunk])
-            touched[hit >> _BLOCK_SHIFT] = True
+        ring, owner = _ring_positions(xs[:run], np.sqrt(top_d2[:run]), lo,
+                                      inv_h, nx, starts)
+        dd = _sq_dist([c[ring] for c in cols], xs[:run][owner])
+        shrunk = dd < mind2[ring]
+        hit = ring[shrunk]
+        np.minimum.at(mind2, hit, dd[shrunk])
+        touched[hit >> _BLOCK_SHIFT] = True
         mind2[picks] = -np.inf
         stale = np.flatnonzero(touched)
         touched[stale] = False
@@ -352,25 +298,21 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
 def _sq_dist(cols: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Squared distances summed axis by axis in the order of
     ((a - b) ** 2).sum(axis=1), so the doubles are identical to it."""
-    total = None
-    for j, c in enumerate(cols):
-        t = c - x[..., j]
-        t *= t
-        total = t if total is None else total + t
+    total = (cols[0] - x[..., 0]) ** 2
+    for j in range(1, len(cols)):
+        total += (cols[j] - x[..., j]) ** 2
     return total
 
 
-def _ring_positions(centers: np.ndarray, radii: np.ndarray, lo3, inv_h,
-                    nx3, starts) -> tuple[np.ndarray, np.ndarray]:
+def _ring_positions(centers: np.ndarray, radii: np.ndarray, lo, inv_h,
+                    nx, starts) -> tuple[np.ndarray, np.ndarray]:
     """Cell-sorted positions of the candidates in the grid cells that
     meet each ball's bounding box, and the ball each one belongs to.
-    The radii get a relative margin so that rounding cannot drop a cell
-    from the box."""
-    c3 = np.zeros((len(centers), 3))
-    c3[:, :centers.shape[1]] = centers
+    Centers and grid are padded to three axes. The radii get a relative
+    margin so that rounding cannot drop a cell from the box."""
     reach = (radii * (1.0 + 1e-9))[:, None]
-    first = np.clip((c3 - reach - lo3) * inv_h, 0, nx3 - 1).astype(np.int64)
-    last = np.clip((c3 + reach - lo3) * inv_h, 0, nx3 - 1).astype(np.int64)
+    first = np.clip((centers - reach - lo) * inv_h, 0, nx - 1).astype(np.int64)
+    last = np.clip((centers + reach - lo) * inv_h, 0, nx - 1).astype(np.int64)
     # one entry per row of cells along axis 0
     width1 = last[:, 1] - first[:, 1] + 1
     n_rows = width1 * (last[:, 2] - first[:, 2] + 1)
@@ -379,7 +321,7 @@ def _ring_positions(centers: np.ndarray, radii: np.ndarray, lo3, inv_h,
                                                  n_rows)
     c1 = first[row_ball, 1] + local % width1[row_ball]
     c2 = first[row_ball, 2] + local // width1[row_ball]
-    row_base = (c2 * nx3[1] + c1) * nx3[0]
+    row_base = (c2 * nx[1] + c1) * nx[0]
     a = starts[row_base + first[row_ball, 0]]
     e = starts[row_base + last[row_ball, 0] + 1]
     lengths = e - a

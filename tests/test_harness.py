@@ -249,7 +249,7 @@ def test_parse_problem_ids():
     assert parse_problem_ids("2,6,11") == (2, 6, 11)
     assert parse_problem_ids("7") == (7,)
     assert parse_problem_ids("1-3,10") == (1, 2, 3, 10)
-    for bad in ("", ",", "a", "5-"):
+    for bad in ("", ",", "a", "5-", "9-7", "2,9-7"):
         with pytest.raises(ValueError):
             parse_problem_ids(bad)
 
@@ -308,6 +308,7 @@ def test_cli_json_and_no_traces(tmp_path):
     ["--xi", "64,2"],
     ["--budget-override", "2"],
     ["--xi-scaling", "sideways"],
+    ["--problems", "2,9-7"],
 ])
 def test_cli_configuration_errors_exit_one(argv, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path)])

@@ -133,26 +133,6 @@ def test_rejection_output_always_in_bounds_and_sized():
     assert np.all(out >= bounds.lower) and np.all(out <= bounds.upper)
 
 
-def test_flanking_pair_route_matches_tree_route():
-    """In one dimension the two nearest history points are found by a
-    sorted-order binary search; the predicate it feeds must agree with a
-    direct nearest-two tree query on every query point."""
-    rng = np.random.default_rng(123)
-    for h in (2, 3, 10, 100):
-        for _ in range(5):
-            pts = rng.uniform(0.0, 1.0, size=(h, 1))
-            labels = rng.integers(0, 3, size=h)
-            order = np.argsort(pts[:, 0], kind="stable")
-            q = rng.uniform(0.0, 1.0, size=200)
-
-            fast = sampling._flanking_pair_same_label(
-                q, pts[order, 0], labels[order])
-
-            idx = cKDTree(pts).query(q[:, None], k=2)[1]
-            slow = labels[idx[:, 0]] == labels[idx[:, 1]]
-            np.testing.assert_array_equal(fast, slow)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_certified_cells_match_tree_route(d):
     """Points in a cell certified as single-label skip the tree query;
@@ -171,11 +151,9 @@ def test_certified_cells_match_tree_route(d):
         idx = cKDTree(pts).query(q, k=k)[1].reshape(len(q), k)
         slow = (labels[idx] == labels[idx[:, :1]]).all(axis=1)
         np.testing.assert_array_equal(fast, slow)
-    if d > 1:  # d = 1 with two neighbors uses the flanking-pair route
-        tree = cKDTree(pts)
-        certified, _ = sampling._single_label_cells(tree, labels, bounds,
-                                                    d + 1)
-        assert certified.any() and not certified.all()
+    certified, _ = sampling._single_label_cells(cKDTree(pts), labels, bounds,
+                                                d + 1)
+    assert certified.any() and not certified.all()
 
 
 def test_certified_cells_see_past_a_dense_blob():
@@ -275,13 +253,38 @@ def test_greedy_subset_is_half_as_scattered_as_optimal(n, d, seed, data):
     assert greedy >= brute / 2.0 - 1e-9
 
 
-# --- dual-route selection equivalence --------------------------------------
-# The public function dispatches between three interchangeable engines;
-# these tests pin the alternates against the straightforward eager loop.
+# --- route equivalence -----------------------------------------------------
+# The public function sends d <= 3 to the grid route and wider candidate
+# arrays to the gemv route; these tests pin both against the
+# straightforward one-pick-at-a-time loop below.
 
 
-def fps_instances(rng, d: int):
-    n = 3000
+def eager_farthest_points(candidates: np.ndarray, k: int,
+                          seed: int) -> list[int]:
+    """Reference selection: after each pick, refresh every candidate's
+    distance to the chosen set and take the argmax."""
+    chosen = [seed]
+    min_d2 = ((candidates - candidates[seed]) ** 2).sum(axis=1)
+    min_d2[seed] = -np.inf  # never re-pick a chosen candidate
+    for _ in range(k - 1):
+        nxt = int(np.argmax(min_d2))
+        chosen.append(nxt)
+        np.minimum(min_d2, ((candidates - candidates[nxt]) ** 2).sum(axis=1),
+                   out=min_d2)
+        min_d2[nxt] = -np.inf
+    return chosen
+
+
+# Small inputs of both routes; n = 63 and n = 65 sit on either side of
+# one 64-row block of the grid route.
+SMALL_SIZES = (1, 2, 63, 65, 2048)
+
+
+def small_ks(n: int) -> list[int]:
+    return sorted({1, n // 2, n} - {0})
+
+
+def fps_instances(rng, d: int, n: int = 3000):
     yield rng.uniform(-5.0, 7.0, size=(n, d))                      # uniform
     centers = rng.normal(size=(5, d)) * 4.0                        # clustered
     mix = centers[rng.integers(0, 5, n)] + rng.normal(size=(n, d)) * 0.2
@@ -290,8 +293,8 @@ def fps_instances(rng, d: int):
     grid = np.array(list(itertools.product(range(side), repeat=d)),
                     dtype=float)[:n]
     yield grid[rng.permutation(n)]
-    base = rng.uniform(size=(n // 10, d))                          # duplicates
-    yield np.tile(base, (10, 1))
+    base = rng.uniform(size=(max(n // 10, 1), d))                  # duplicates
+    yield base[np.arange(n) % len(base)]
 
 
 def centroid_seed(candidates: np.ndarray) -> int:
@@ -302,14 +305,15 @@ def centroid_seed(candidates: np.ndarray) -> int:
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_route_matches_eager_route_exactly(d):
     rng = np.random.default_rng(100 + d)
-    for candidates in fps_instances(rng, d):
-        seed = centroid_seed(candidates)
-        for k in (5, 611, len(candidates) // 2):
-            eager = np.asarray(
-                sampling._eager_farthest_points(candidates, k, seed))
-            grid = np.asarray(
-                sampling._grid_farthest_points(candidates, k, seed))
-            np.testing.assert_array_equal(grid, eager)
+    sizes = [(3000, (5, 611, 1500))] + [(n, small_ks(n)) for n in SMALL_SIZES]
+    for n, ks in sizes:
+        for candidates in fps_instances(rng, d, n):
+            seed = centroid_seed(candidates)
+            for k in ks:
+                eager = np.asarray(eager_farthest_points(candidates, k, seed))
+                grid = np.asarray(
+                    sampling._grid_farthest_points(candidates, k, seed))
+                np.testing.assert_array_equal(grid, eager)
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -322,8 +326,7 @@ def test_gemv_route_matches_eager_route_on_generic_data(d):
         candidates = rng.uniform(-5.0, 7.0, size=(3000, d))
         seed = centroid_seed(candidates)
         for k in (5, 611, 1500):
-            eager = np.asarray(
-                sampling._eager_farthest_points(candidates, k, seed))
+            eager = np.asarray(eager_farthest_points(candidates, k, seed))
             gemv = np.asarray(
                 sampling._gemv_farthest_points(candidates, k, seed))
             np.testing.assert_array_equal(gemv, eager)
@@ -331,13 +334,16 @@ def test_gemv_route_matches_eager_route_on_generic_data(d):
 
 def test_public_dispatch_agrees_with_eager_selection():
     rng = np.random.default_rng(321)
-    for d in (2, 5):  # d=2 dispatches to the grid engine, d=5 to gemv
-        candidates = rng.uniform(-1.0, 1.0, size=(2500, d))
-        out = greedy_scattered_subset(candidates, 900)
+    # d <= 3 dispatches to the grid route, d = 5 to gemv
+    cases = [(d, 2500, (900,)) for d in (2, 5)] + [
+        (d, n, small_ks(n)) for d in (1, 2, 3, 5) for n in SMALL_SIZES]
+    for d, n, ks in cases:
+        candidates = rng.uniform(-1.0, 1.0, size=(n, d))
         seed = centroid_seed(candidates)
-        expected = candidates[
-            sampling._eager_farthest_points(candidates, 900, seed)]
-        np.testing.assert_array_equal(out, expected)
+        for k in ks:
+            expected = candidates[eager_farthest_points(candidates, k, seed)]
+            np.testing.assert_array_equal(
+                greedy_scattered_subset(candidates, k), expected)
 
 
 # --- initial population pipeline -------------------------------------------
