@@ -2,7 +2,8 @@
 committed fingerprints bit for bit.
 
 A fingerprint holds a SHA-256 of the run's trace records, a SHA-256 of
-every point the run evaluated (in call order) and the evaluation count.
+every point the run evaluated (in call order), the evaluation count and
+a SHA-256 of the run's scores at every accuracy level.
 The covered problems are at most three-dimensional, so no step of these
 runs goes through BLAS; the hashes are still only guaranteed on one
 platform (numpy build and CPU). Regenerate with
@@ -25,6 +26,7 @@ import pytest
 
 from hillvallea.orchestrator import run
 from hillvallea.problems.suite import make_problem
+from hillvallea.scoring import score_run
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden" / "seed0_traces.json"
 GOLDEN_PIDS = tuple(range(1, 11))
@@ -48,10 +50,16 @@ def fingerprint(pid: int, seed: int = 0) -> dict:
         records.update(np.int64(feval).tobytes())
         records.update(np.float64(fitness).tobytes())
         records.update(np.ascontiguousarray(x, dtype=float).tobytes())
+    scores = hashlib.sha256()
+    for ls in score_run(trace, problem):
+        scores.update(np.int64(ls.g).tobytes())
+        for value in (ls.pr, ls.sr, ls.f1, ls.dyn_f1):
+            scores.update(np.float64(value).tobytes())
     return {"n_records": len(trace),
             "records_sha256": records.hexdigest(),
             "evaluations": count[0],
-            "evaluated_points_sha256": stream.hexdigest()}
+            "evaluated_points_sha256": stream.hexdigest(),
+            "scores_sha256": scores.hexdigest()}
 
 
 @pytest.mark.parametrize("pid", GOLDEN_PIDS)
