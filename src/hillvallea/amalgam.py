@@ -15,6 +15,7 @@ every stagnant generation shrinks it, driving collapse and termination.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,49 +92,56 @@ def init_core_search(cluster: Cluster, pop_size: int,
 
 def core_search_step(state: CoreSearchState, ev: Evaluator,
                      rng: np.random.Generator) -> CoreSearchState:
+    """One generation; returns the next state and leaves `state` as it was."""
     pop = state.pop_size
     bounds = state.bounds
+    best_f = state.best.f
     if ev.remaining < pop:
         return dataclasses.replace(state, terminated=True)
 
-    scale = state.c_mult * state.stddev
-    xs = state.mean + rng.standard_normal((pop, bounds.d)) * scale
+    # The tracked best joins the candidate set as row `pop` (elitism of
+    # one), so the model stays anchored to the basin it has already
+    # reached even when a generation of fresh samples scatters. Stable
+    # sort puts fresh samples ahead of the elite on fitness ties.
+    cand_x = np.empty((pop + 1, bounds.d))
+    xs = cand_x[:pop]
+    rng.standard_normal(out=xs)
+    xs *= state.c_mult * state.stddev
+    xs += state.mean
     n_ams = int(AMS_FRACTION * pop)
     if state.generation > 0 and n_ams > 0:
-        shift = DELTA_AMS * state.c_mult * (state.mean - state.prev_mean)
-        xs[:n_ams] += shift
-    np.clip(xs, bounds.lower, bounds.upper, out=xs)
+        xs[:n_ams] += DELTA_AMS * state.c_mult * (state.mean - state.prev_mean)
+    np.maximum(xs, bounds.lower, out=xs)
+    np.minimum(xs, bounds.upper, out=xs)
+    cand_x[pop] = state.best.x
 
     base_index = ev.evals_used
     fs = ev.evaluate_batch(xs)
+    cand_f = np.empty(pop + 1)
+    cand_f[:pop] = fs
+    cand_f[pop] = best_f
 
-    # The tracked best joins the candidate set (elitism of one), so the
-    # model stays anchored to the basin it has already reached even when
-    # a generation of fresh samples scatters. Stable sort puts fresh
-    # samples ahead of the elite on fitness ties.
-    cand_x = np.vstack([xs, state.best.x[None, :]])
-    cand_f = np.append(fs, state.best.f)
-
-    n_sel = max(1, int(np.ceil(SELECTION_FRACTION * pop)))
-    order = np.argsort(-cand_f, kind="stable")
-    sel = order[:n_sel]
+    n_sel = max(1, math.ceil(SELECTION_FRACTION * pop))
+    sel = (-cand_f).argsort(kind="stable")[:n_sel]
     spread = float(cand_f[sel[0]] - cand_f[sel[-1]])
 
-    gen_best = int(np.argmax(fs))
-    if fs[gen_best] > state.best.f:
-        best = Solution(xs[gen_best].copy(), float(fs[gen_best]),
+    gen_best = int(fs.argmax())
+    gen_best_f = float(fs[gen_best])
+    if gen_best_f > best_f:
+        best = Solution(xs[gen_best].copy(), gen_best_f,
                         base_index + gen_best + 1)
     else:
         best = state.best
 
-    gain_floor = MATERIAL_GAIN_REL * max(1.0, abs(state.best.f))
-    if fs[gen_best] > state.best.f + gain_floor:
-        improved_sel = sel[cand_f[sel] > state.best.f]
-        avg_improvement = cand_x[improved_sel].mean(axis=0)
+    gain_floor = MATERIAL_GAIN_REL * max(1.0, abs(best_f))
+    if gen_best_f > best_f + gain_floor:
+        improved = cand_x[sel[cand_f[sel] > best_f]]
+        avg_improvement = np.add.reduce(improved, axis=0) / len(improved)
         # Improvement displacement measured in unmultiplied standard
         # deviations: an inflated model still registers far-flung
         # improvements as "beyond one deviation" and keeps growing.
-        sdr = float(np.abs((avg_improvement - state.mean) / state.stddev).max())
+        sdr = float(np.maximum.reduce(
+            np.abs((avg_improvement - state.mean) / state.stddev)))
         c_mult = max(state.c_mult, 1.0)
         if sdr > SDR_THRESHOLD:
             c_mult *= ETA_INC
@@ -146,27 +154,33 @@ def core_search_step(state: CoreSearchState, ev: Evaluator,
         # scale alone; once narrower than any freshly initialized model
         # it is in terminal polish, where only a short streak is
         # tolerated before every stagnant generation shrinks it.
-        wide = bool(np.any(c_mult * state.stddev
-                           >= INIT_STDDEV_FLOOR * bounds.range))
+        wide = np.count_nonzero(c_mult * state.stddev
+                                >= INIT_STDDEV_FLOOR * bounds.range) > 0
         hold = wide or nis <= STAGNATION_GRACE
         if c_mult > 1.0 or not hold:
             c_mult *= ETA_DEC
         if hold and c_mult < 1.0:
             c_mult = 1.0
-    c_mult = float(np.clip(c_mult, C_MULT_MIN, C_MULT_MAX))
+    c_mult = min(max(c_mult, C_MULT_MIN), C_MULT_MAX)
 
-    new_mean = cand_x[sel].mean(axis=0)
+    # ndarray.mean and ndarray.std(ddof=1) spelled out as the ufunc
+    # calls they make, sharing the mean: same operations, same bits.
+    selected = cand_x[sel]
+    new_mean = np.add.reduce(selected, axis=0)
+    new_mean /= n_sel
     if n_sel > 1:
-        new_stddev = cand_x[sel].std(axis=0, ddof=1)
+        np.subtract(selected, new_mean, out=selected)
+        np.square(selected, out=selected)
+        new_stddev = np.add.reduce(selected, axis=0)
+        new_stddev /= n_sel - 1
+        np.sqrt(new_stddev, out=new_stddev)
     else:
         new_stddev = np.zeros(bounds.d)
-    new_stddev = np.maximum(new_stddev, STEP_STDDEV_FLOOR * bounds.range)
+    np.maximum(new_stddev, STEP_STDDEV_FLOOR * bounds.range, out=new_stddev)
 
-    return dataclasses.replace(
-        state, mean=new_mean, stddev=new_stddev, c_mult=c_mult, nis=nis,
-        best=best, prev_mean=state.mean, generation=state.generation + 1,
-        selection_spread=spread,
-    )
+    return CoreSearchState(new_mean, new_stddev, c_mult, pop, nis, best,
+                           state.mean, state.generation + 1, bounds,
+                           False, spread)
 
 
 def core_search_terminated(state: CoreSearchState) -> bool:
@@ -174,6 +188,7 @@ def core_search_terminated(state: CoreSearchState) -> bool:
         return True
     if state.nis > nis_limit(state.bounds.d):
         return True
-    if np.all(state.c_mult * state.stddev < PARAM_TOL * state.bounds.range):
+    collapsed = state.c_mult * state.stddev < PARAM_TOL * state.bounds.range
+    if np.count_nonzero(collapsed) == collapsed.size:
         return True
     return state.selection_spread < FITNESS_TOL

@@ -39,19 +39,23 @@ class Evaluator:
     def __init__(self, problem: "Problem"):
         self.problem = problem
         self.evals_used = 0
+        self._budget = problem.budget
         self._fn = problem.fn
         self._lower = problem.bounds.lower
         self._upper = problem.bounds.upper
 
     @property
     def remaining(self) -> int:
-        return self.problem.budget - self.evals_used
+        return self._budget - self.evals_used
 
     def evaluate(self, x: np.ndarray) -> float:
-        if self.evals_used >= self.problem.budget:
+        if self.evals_used >= self._budget:
             raise BudgetExhaustedError(
-                f"budget of {self.problem.budget} evaluations exhausted")
-        if (x < self._lower).any() or (x > self._upper).any():
+                f"budget of {self._budget} evaluations exhausted")
+        # np.count_nonzero is a C function; ndarray.any goes through a
+        # Python wrapper that costs more than the comparison itself.
+        if (np.count_nonzero(x < self._lower)
+                or np.count_nonzero(x > self._upper)):
             raise OutOfBoundsError(f"point {x!r} outside problem bounds")
         fs = _checked(self._fn(np.asarray(x, dtype=float)[None, :]), 1)
         self.evals_used += 1
@@ -67,10 +71,12 @@ class Evaluator:
         n = xs.shape[0]
         if n == 0:
             return np.empty(0)
-        if self.remaining < n:
+        remaining = self._budget - self.evals_used
+        if remaining < n:
             raise BudgetExhaustedError(
-                f"{n} evaluations requested, {self.remaining} remaining")
-        if np.any(xs < self._lower) or np.any(xs > self._upper):
+                f"{n} evaluations requested, {remaining} remaining")
+        if (np.count_nonzero(xs < self._lower)
+                or np.count_nonzero(xs > self._upper)):
             raise OutOfBoundsError("batch contains out-of-bounds points")
         fs = _checked(self._fn(xs), n)
         self.evals_used += n
@@ -86,6 +92,7 @@ def _checked(fs: np.ndarray, n: int) -> np.ndarray:
                          f"for {n} points, expected ({n},)")
     # Hill-valley probes are single-point calls; math.isfinite on the
     # lone value costs a tenth of np.isfinite there.
-    if not (math.isfinite(fs[0]) if n == 1 else np.isfinite(fs).all()):
+    if not (math.isfinite(fs[0]) if n == 1
+            else np.count_nonzero(np.isfinite(fs)) == n):
         raise ValueError("objective returned a non-finite value")
     return fs

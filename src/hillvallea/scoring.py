@@ -36,22 +36,43 @@ def count_distinct_global(solutions: Sequence[Solution], problem: Problem,
         return 0
     fs = np.array([s.f for s in solutions])
     xs = np.array([s.x for s in solutions])
+    claims = _claimable_optima(fs, xs, problem, eps)
+    return _greedy_count(np.argsort(-fs, kind="stable").tolist(), claims,
+                         len(solutions))
+
+
+def _claimable_optima(fs: np.ndarray, xs: np.ndarray, problem: Problem,
+                      eps: float) -> list[list[int]]:
+    """For each solution, the optima it may claim while they are
+    unclaimed: fitness within eps, position within the niche radius,
+    nearest first and the lower index first on equal distances."""
     opt_pos = problem.optima_positions
     opt_fit = problem.optima_fitness
     radius_sq = problem.niche_radius ** 2
-    claimed = np.zeros(len(opt_fit), dtype=bool)
-    g = 0
-    for i in np.argsort(-fs, kind="stable"):
-        close_fit = np.abs(opt_fit - fs[i]) <= eps
+    claims = []
+    for f, x in zip(fs, xs):
+        close_fit = np.abs(opt_fit - f) <= eps
         if not close_fit.any():
+            claims.append([])
             continue
-        d2 = ((opt_pos - xs[i]) ** 2).sum(axis=1)
-        eligible = close_fit & ~claimed & (d2 <= radius_sq)
-        if eligible.any():
-            hits = np.flatnonzero(eligible)
-            claimed[hits[np.argmin(d2[hits])]] = True
-            g += 1
-    return g
+        d2 = ((opt_pos - x) ** 2).sum(axis=1)
+        hits = np.flatnonzero(close_fit & (d2 <= radius_sq))
+        claims.append(hits[np.argsort(d2[hits], kind="stable")].tolist())
+    return claims
+
+
+def _greedy_count(order: list[int], claims: list[list[int]],
+                  upto: int) -> int:
+    """Optima claimed by the solutions with index below upto, taken in
+    the given fittest-first order, each claiming its nearest open one."""
+    claimed = set()
+    for i in order:
+        if i < upto:
+            for j in claims[i]:
+                if j not in claimed:
+                    claimed.add(j)
+                    break
+    return len(claimed)
 
 
 def peak_ratio(g: int, n_global: int) -> float:
@@ -72,19 +93,16 @@ def f1(pr: float, sr: float) -> float:
     return 2.0 * pr * sr / (pr + sr)
 
 
-def _prefix_f1(solutions: list[Solution], problem: Problem,
-               eps: float, upto: int) -> float:
-    prefix = solutions[:upto]
-    g = count_distinct_global(prefix, problem, eps)
-    return f1(peak_ratio(g, problem.n_global_optima),
-              success_rate(g, len(prefix)))
-
-
 def dyn_f1(trace: RunTrace, problem: Problem, eps: float) -> float:
     """Time-weighted F1: each obtained solution set is credited for the
     span of evaluations during which it was the current set, the full
     set for the span from its completion to the budget's end. The span
-    before the first solution earns nothing."""
+    before the first solution earns nothing.
+
+    Each prefix is counted as count_distinct_global counts it: a
+    solution's claimable optima do not depend on the prefix, and a
+    prefix's fittest-first order is the whole trace's stable order
+    restricted to it, so both are worked out once."""
     t = len(trace)
     if t == 0:
         return 0.0
@@ -94,13 +112,21 @@ def dyn_f1(trace: RunTrace, problem: Problem, eps: float) -> float:
         raise InvalidTraceError("trace records must be strictly feval-ascending")
     if fevals[0] < 1 or fevals[-1] > budget:
         raise InvalidTraceError("trace records must lie within the run budget")
-    solutions = [Solution(x, fit, int(fe))
-                 for (fe, fit, x) in trace.records]
-    total = (budget - fevals[-1]) / budget * _prefix_f1(
-        solutions, problem, eps, t)
+    fs = trace.fitness
+    claims = _claimable_optima(fs, np.array([r[2] for r in trace.records]),
+                               problem, eps)
+    claimers = [i for i in np.argsort(-fs, kind="stable").tolist()
+                if claims[i]]
+    n_global = problem.n_global_optima
+
+    def prefix_f1(upto: int) -> float:
+        g = _greedy_count(claimers, claims, upto)
+        return f1(peak_ratio(g, n_global), success_rate(g, upto))
+
+    total = (budget - fevals[-1]) / budget * prefix_f1(t)
     for i in range(2, t + 1):
         width = (fevals[i - 1] - fevals[i - 2]) / budget
-        total += width * _prefix_f1(solutions, problem, eps, i - 1)
+        total += width * prefix_f1(i - 1)
     return float(total)
 
 

@@ -10,13 +10,19 @@ import numpy as np
 import pytest
 
 import hillvallea.amalgam as amalgam
-from hillvallea.amalgam import (core_search_step, core_search_terminated,
-                                guideline_pop_size, init_core_search)
+from hillvallea.amalgam import (AMS_FRACTION, C_MULT_MAX, C_MULT_MIN,
+                                DELTA_AMS, ETA_DEC, ETA_INC,
+                                INIT_STDDEV_FLOOR, MATERIAL_GAIN_REL,
+                                SDR_THRESHOLD, SELECTION_FRACTION,
+                                STAGNATION_GRACE, STEP_STDDEV_FLOOR,
+                                CoreSearchState, core_search_step,
+                                core_search_terminated, guideline_pop_size,
+                                init_core_search)
 from hillvallea.bounds import Bounds
 from hillvallea.hillvalley import Cluster
 from hillvallea.problems.evaluator import Evaluator, Solution
 
-from conftest import quadratic_bowl, synthetic_problem
+from conftest import RecordingProblem, quadratic_bowl, synthetic_problem
 
 
 def offset_bowl_problem(budget=10**9):
@@ -156,6 +162,130 @@ def test_samples_stay_inside_bounds():
     assert np.all(sampled >= -1.0) and np.all(sampled <= 1.0)
     # The huge spread really did press against both walls.
     assert sampled.min() == -1.0 and sampled.max() == 1.0
+
+
+def reference_core_search_step(state, ev, rng):
+    """The step as first written: a fresh state from
+    dataclasses.replace, the elite appended with vstack and append, and
+    ndarray.mean and ndarray.std on the selected rows. The package's
+    step must reproduce it bit for bit."""
+    pop = state.pop_size
+    bounds = state.bounds
+    if ev.remaining < pop:
+        return dataclasses.replace(state, terminated=True)
+
+    scale = state.c_mult * state.stddev
+    xs = state.mean + rng.standard_normal((pop, bounds.d)) * scale
+    n_ams = int(AMS_FRACTION * pop)
+    if state.generation > 0 and n_ams > 0:
+        shift = DELTA_AMS * state.c_mult * (state.mean - state.prev_mean)
+        xs[:n_ams] += shift
+    np.clip(xs, bounds.lower, bounds.upper, out=xs)
+
+    base_index = ev.evals_used
+    fs = ev.evaluate_batch(xs)
+
+    cand_x = np.vstack([xs, state.best.x[None, :]])
+    cand_f = np.append(fs, state.best.f)
+
+    n_sel = max(1, int(np.ceil(SELECTION_FRACTION * pop)))
+    order = np.argsort(-cand_f, kind="stable")
+    sel = order[:n_sel]
+    spread = float(cand_f[sel[0]] - cand_f[sel[-1]])
+
+    gen_best = int(np.argmax(fs))
+    if fs[gen_best] > state.best.f:
+        best = Solution(xs[gen_best].copy(), float(fs[gen_best]),
+                        base_index + gen_best + 1)
+    else:
+        best = state.best
+
+    gain_floor = MATERIAL_GAIN_REL * max(1.0, abs(state.best.f))
+    if fs[gen_best] > state.best.f + gain_floor:
+        improved_sel = sel[cand_f[sel] > state.best.f]
+        avg_improvement = cand_x[improved_sel].mean(axis=0)
+        sdr = float(np.abs((avg_improvement - state.mean) / state.stddev).max())
+        c_mult = max(state.c_mult, 1.0)
+        if sdr > SDR_THRESHOLD:
+            c_mult *= ETA_INC
+        nis = 0
+    else:
+        nis = state.nis + 1
+        c_mult = state.c_mult
+        wide = bool(np.any(c_mult * state.stddev
+                           >= INIT_STDDEV_FLOOR * bounds.range))
+        hold = wide or nis <= STAGNATION_GRACE
+        if c_mult > 1.0 or not hold:
+            c_mult *= ETA_DEC
+        if hold and c_mult < 1.0:
+            c_mult = 1.0
+    c_mult = float(np.clip(c_mult, C_MULT_MIN, C_MULT_MAX))
+
+    new_mean = cand_x[sel].mean(axis=0)
+    if n_sel > 1:
+        new_stddev = cand_x[sel].std(axis=0, ddof=1)
+    else:
+        new_stddev = np.zeros(bounds.d)
+    new_stddev = np.maximum(new_stddev, STEP_STDDEV_FLOOR * bounds.range)
+
+    return dataclasses.replace(
+        state, mean=new_mean, stddev=new_stddev, c_mult=c_mult, nis=nis,
+        best=best, prev_mean=state.mean, generation=state.generation + 1,
+        selection_spread=spread,
+    )
+
+
+def wavy(xs):
+    """Many local peaks on a concave trend, so searches both improve
+    and stall and the elite often enters the selection."""
+    return (np.cos(3.0 * xs) - 0.1 * xs ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("d,pop_size,start,spread", [
+    (1, 10, 0.7, 1.0),
+    (3, 18, 0.7, 1.0),
+    (5, 23, 0.7, 1.0),
+    (2, 2, 0.7, 1.0),       # a one-row selection
+    (3, 18, -5.0, 50.0),    # mean on the lower bound: clamping fires
+])
+def test_step_matches_reference_bit_for_bit(d, pop_size, start, spread):
+    def side():
+        problem = synthetic_problem(wavy, [-5.0] * d, [5.0] * d)
+        recorder = RecordingProblem(problem)
+        mean = np.full(d, start)
+        best = Solution(mean.copy(), float(wavy(mean[None, :])[0]), 0)
+        state = CoreSearchState(
+            mean=mean, stddev=np.full(d, spread), c_mult=1.0,
+            pop_size=pop_size, nis=0, best=best, prev_mean=mean.copy(),
+            generation=0, bounds=problem.bounds)
+        return (state, Evaluator(recorder.problem), recorder,
+                np.random.default_rng(d * 100 + pop_size))
+
+    fast, fast_ev, fast_rec, fast_rng = side()
+    ref, ref_ev, ref_rec, ref_rng = side()
+    n_sel = max(1, math.ceil(SELECTION_FRACTION * pop_size))
+    elite_selected = 0
+    for _ in range(200):
+        best_f = ref.best.f
+        fast = core_search_step(fast, fast_ev, fast_rng)
+        ref = reference_core_search_step(ref, ref_ev, ref_rng)
+        fs = wavy(np.array(ref_rec.rows[-pop_size:]))
+        elite_selected += int(np.count_nonzero(fs >= best_f) < n_sel)
+        for name in ("mean", "stddev", "prev_mean"):
+            np.testing.assert_array_equal(getattr(fast, name),
+                                          getattr(ref, name))
+        np.testing.assert_array_equal(fast.best.x, ref.best.x)
+        assert fast.c_mult == ref.c_mult
+        assert fast.nis == ref.nis
+        assert fast.best.f == ref.best.f
+        assert fast.best.eval_index == ref.best.eval_index
+        assert fast.selection_spread == ref.selection_spread
+        assert fast.generation == ref.generation
+    np.testing.assert_array_equal(fast_rec.stream(), ref_rec.stream())
+    assert elite_selected > 0
+    if start == -5.0:
+        assert np.count_nonzero(ref_rec.stream() == -5.0) > 0
+        assert np.count_nonzero(ref_rec.stream() == 5.0) > 0
 
 
 # --- termination ------------------------------------------------------------

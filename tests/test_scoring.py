@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hillvallea.orchestrator import RunTrace
+from hillvallea.problems.evaluator import Solution
 from hillvallea.problems.suite import InvalidProblemError, make_problem
 from hillvallea.scoring import (ACCURACY_LEVELS, InvalidTraceError,
                                 LevelScores, aggregate, count_distinct_global,
@@ -188,6 +189,106 @@ def test_dyn_f1_stays_in_unit_interval():
                                    for fe, x in zip(fevals, xs)])
         for eps in ACCURACY_LEVELS:
             assert 0.0 <= dyn_f1(trace, problem, eps) <= 1.0
+
+
+def reference_count(solutions, problem, eps):
+    """The greedy matching as first written: one vectorised pass per
+    solution over the optima still unclaimed."""
+    if len(solutions) == 0:
+        return 0
+    fs = np.array([s.f for s in solutions])
+    xs = np.array([s.x for s in solutions])
+    opt_pos = problem.optima_positions
+    opt_fit = problem.optima_fitness
+    radius_sq = problem.niche_radius ** 2
+    claimed = np.zeros(len(opt_fit), dtype=bool)
+    g = 0
+    for i in np.argsort(-fs, kind="stable"):
+        close_fit = np.abs(opt_fit - fs[i]) <= eps
+        if not close_fit.any():
+            continue
+        d2 = ((opt_pos - xs[i]) ** 2).sum(axis=1)
+        eligible = close_fit & ~claimed & (d2 <= radius_sq)
+        if eligible.any():
+            hits = np.flatnonzero(eligible)
+            claimed[hits[np.argmin(d2[hits])]] = True
+            g += 1
+    return g
+
+
+def reference_dyn_f1(trace, problem, eps):
+    """dyn_f1 as first written: every prefix recounted from scratch."""
+    t = len(trace)
+    if t == 0:
+        return 0.0
+    fevals = trace.fevals
+    budget = trace.budget
+    solutions = [Solution(x, fit, int(fe)) for (fe, fit, x) in trace.records]
+
+    def prefix_f1(upto):
+        g = reference_count(solutions[:upto], problem, eps)
+        return f1(peak_ratio(g, problem.n_global_optima),
+                  success_rate(g, upto))
+
+    total = (budget - fevals[-1]) / budget * prefix_f1(t)
+    for i in range(2, t + 1):
+        width = (fevals[i - 1] - fevals[i - 2]) / budget
+        total += width * prefix_f1(i - 1)
+    return float(total)
+
+
+@st.composite
+def crowded_traces(draw):
+    """Optima and solutions on a coarse grid, so positions repeat;
+    fitness from a few values close to the optima's, so ties are common
+    and several solutions are eligible at loose levels; niche radii of
+    one to several grid steps, so one solution may claim several optima
+    and an early claim can push later solutions to their second or
+    third choice."""
+    d = draw(st.integers(1, 2))
+    grid = st.integers(0, 4).map(lambda k: 0.25 * k)
+    points = lambda n: st.lists(st.lists(grid, min_size=d, max_size=d),
+                                min_size=n, max_size=n)
+    m = draw(st.integers(1, 6))
+    problem = synthetic_problem(
+        flat_one, lower=[-1.0] * d, upper=[2.0] * d, budget=1000,
+        optima_positions=np.array(draw(points(m))),
+        optima_fitness=np.ones(m),
+        niche_radius=draw(st.sampled_from([0.1, 0.3, 0.6, 1.2])))
+    t = draw(st.integers(0, 12))
+    fevals = sorted(draw(st.lists(st.integers(1, 1000), min_size=t,
+                                  max_size=t, unique=True)))
+    fits = draw(st.lists(st.sampled_from([1.0, 1.0 - 1e-6, 0.999, 0.95,
+                                          0.5]), min_size=t, max_size=t))
+    records = [(fe, fit, np.array(x))
+               for fe, fit, x in zip(fevals, fits, draw(points(t)))]
+    return problem, RunTrace(records=records, budget=1000, seed=0)
+
+
+def fittest_first_cascade():
+    """The first solution is equally near both optima and takes the
+    lower-indexed one unless the fitter second solution, whose only
+    optimum that is, claims it first: fittest-first gives 2, record
+    order 1."""
+    problem = synthetic_problem(
+        flat_one, lower=[-1.0], upper=[2.0], budget=1000,
+        optima_positions=np.array([[0.0], [0.5]]),
+        optima_fitness=np.ones(2), niche_radius=0.3)
+    records = [(100, 0.95, np.array([0.25])), (400, 1.0, np.array([-0.125]))]
+    return problem, RunTrace(records=records, budget=1000, seed=0)
+
+
+@given(case=crowded_traces(),
+       eps=st.sampled_from(ACCURACY_LEVELS + (0.5,)))
+@example(case=fittest_first_cascade(), eps=0.1)
+@settings(max_examples=300, deadline=None)
+def test_dyn_f1_equals_the_per_prefix_recount(case, eps):
+    problem, trace = case
+    assert dyn_f1(trace, problem, eps) == reference_dyn_f1(trace, problem,
+                                                           eps)
+    solutions = [Solution(x, fit, fe) for (fe, fit, x) in trace.records]
+    assert count_distinct_global(solutions, problem, eps) == \
+        reference_count(solutions, problem, eps)
 
 
 # --- per-run and per-problem aggregation ------------------------------------
