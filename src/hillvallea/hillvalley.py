@@ -3,9 +3,11 @@
 Two solutions share a niche when no sampled point on the segment
 between them falls below the worse endpoint's fitness. Clustering walks
 a fitness-sorted selection, testing each solution against its nearest
-better solutions in distinct clusters; cheap pairs in the worse half of
-the selection within one expected edge length of their nearest better
-solution are merged without spending evaluations.
+previous (fitter) solutions in distinct clusters, nearest first;
+worse-half solutions within one expected edge length of such a
+solution join its cluster without spending evaluations. The
+nearest-first order comes from a few KD-tree neighbours per solution,
+with an exact sort of the whole prefix as the rare fallback.
 """
 
 from __future__ import annotations
@@ -15,23 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .bounds import Bounds
 from .problems.evaluator import BudgetExhaustedError, Evaluator, Solution
 
 TEST_POINT_CAP = 10
-_CHUNK = 128
-# Spatial neighbors fetched per worse-half solution; nearly every such
-# solution has a previous (fitter) solution among its nearest few, so
-# the exact full prefix scan is only a fallback.
-_FORCE_KNN = 16
+# Spatial neighbours fetched per solution. Nearly every walk ends among
+# a solution's nearest few previous solutions, so the exact sort of the
+# whole prefix is only a fallback.
+_HEAD_K = 16
+# The KD-tree's distances and the exact ones differ by a few ulps of
+# rounding, so every solution whose exact squared distance lies below
+# this fraction of the k-th fetched squared distance was fetched.
+_HEAD_MARGIN = 1.0 - 1e-9
 
 
 @dataclass(eq=False)
 class Cluster:
+    """Members are best-first."""
+
     members: list[Solution]
-    best: int
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -39,7 +44,7 @@ class Cluster:
 
     @property
     def best_solution(self) -> Solution:
-        return self.members[self.best]
+        return self.members[0]
 
 
 def expected_edge_length(n: int, bounds: Bounds) -> float:
@@ -80,11 +85,19 @@ def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
                            bounds: Bounds) -> list[Cluster]:
     """Partition a fitness-descending selection into niches.
 
-    Each solution is tested against at most d+1 nearest better solutions
-    from distinct clusters, nearest first. Worse-half solutions within
-    one expected edge length of a candidate join its cluster untested.
-    On budget exhaustion every not-yet-clustered solution becomes a
-    singleton cluster.
+    Each solution is tested against at most d+1 nearest previous
+    solutions from distinct clusters, nearest first, ties by index.
+    Worse-half solutions within one expected edge length of a candidate
+    join its cluster untested. On budget exhaustion every
+    not-yet-clustered solution becomes a singleton cluster.
+
+    A solution's walk starts with its head: the fetched KD-tree
+    neighbours j < i whose exact squared distance lies below the cut
+    (the k-th fetched squared distance times _HEAD_MARGIN), sorted by
+    (distance, index). Every unfetched solution lies at or beyond the
+    cut, so the head is exactly the start of the full nearest-first
+    order; a walk that runs past it continues in a stable sort of the
+    whole prefix.
     """
     s_count = len(selection)
     if s_count == 0:
@@ -98,23 +111,40 @@ def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
     worse_half_start = -(-s_count // 2)
     max_candidates = bounds.d + 1
 
-    clusters = [Cluster([selection[0]], 0)]
-    assigned = np.zeros(s_count, dtype=int)
-    exhausted = False
+    k = min(_HEAD_K, s_count)
+    dd, ii = cKDTree(positions).query(positions, k=k)
+    dd, ii = dd.reshape(s_count, k), ii.reshape(s_count, k)
+    d2 = ((positions[ii] - positions[:, None, :]) ** 2).sum(axis=-1)
+    in_head = ((ii < np.arange(s_count)[:, None])
+               & (d2 < dd[:, -1:] ** 2 * _HEAD_MARGIN))
+    d2 = np.where(in_head, d2, np.inf)
+    order = np.lexsort((ii, d2))
+    ii = np.take_along_axis(ii, order, axis=1)
+    d2 = np.take_along_axis(d2, order, axis=1)
+    head_len = in_head.sum(axis=1).tolist()
 
-    def walk(i: int, row: np.ndarray) -> int:
+    def nearest_first(i: int):
+        """Yield (squared distance, j) over j < i, nearest first."""
+        m = head_len[i]
+        yield from zip(d2[i, :m].tolist(), ii[i, :m].tolist())
+        if m < i:
+            row = ((positions[:i] - positions[i]) ** 2).sum(axis=1)
+            for j in np.argsort(row, kind="stable")[m:].tolist():
+                yield float(row[j]), j
+
+    def walk(i: int) -> int:
         """Assign solution i by testing nearest previous solutions in
         distinct clusters; returns the cluster index or -1."""
         nonlocal exhausted
         s = selection[i]
         seen: set[int] = set()
         try:
-            for j in _nearest_previous(row):
-                c = int(assigned[j])
+            for dist2, j in nearest_first(i):
+                c = assigned[j]
                 if c in seen:
                     continue
                 seen.add(c)
-                n_t = n_test_points(math.sqrt(row[j]), eel)
+                n_t = n_test_points(math.sqrt(dist2), eel)
                 if i >= worse_half_start and n_t == 1:
                     return c
                 if hill_valley_test(ev, s, selection[j], n_t):
@@ -125,89 +155,15 @@ def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
             exhausted = True
         return -1
 
-    def place(i: int, target: int) -> None:
+    clusters = [Cluster([selection[0]])]
+    assigned = [0] * s_count
+    exhausted = False
+    for i in range(1, s_count):
+        target = -1 if exhausted else walk(i)
         if target >= 0:
             clusters[target].members.append(selection[i])
-            assigned[i] = target
         else:
-            clusters.append(Cluster([selection[i]], 0))
-            assigned[i] = len(clusters) - 1
-
-    # Better half: every solution is tested, so the full prefix
-    # distances are needed anyway; compute them in chunks.
-    for start in range(1, worse_half_start, _CHUNK):
-        stop = min(start + _CHUNK, worse_half_start)
-        d2_block = None
-        for i in range(start, stop):
-            target = -1
-            if not exhausted:
-                if d2_block is None:
-                    d2_block = cdist(positions[start:stop],
-                                     positions[:stop - 1], "sqeuclidean")
-                target = walk(i, d2_block[i - start, :i])
-            place(i, target)
-
-    # Worse half: almost every solution sits within one expected edge
-    # length of a previous solution and joins its cluster untested, so
-    # the nearest previous solution is looked up among a few exact
-    # spatial neighbors instead of a full prefix scan; ties and misses
-    # fall back to the exact scan.
-    if worse_half_start < s_count and not exhausted:
-        kq = min(_FORCE_KNN, s_count)
-        dd, ii = cKDTree(positions).query(positions[worse_half_start:], k=kq)
-        prev = ii < np.arange(worse_half_start, s_count)[:, None]
-        d_prev = np.where(prev, dd, np.inf)
-        best_d = d_prev.min(axis=1)
-        tied = np.where(d_prev == best_d[:, None], ii, s_count)
-        nearest_k = tied.min(axis=1)
-        for i in range(worse_half_start, s_count):
-            target = -1
-            if not exhausted:
-                r = i - worse_half_start
-                dist = float(best_d[r])
-                row = None
-                if math.isinf(dist):
-                    row = ((positions[:i] - positions[i]) ** 2).sum(axis=1)
-                    nearest = int(np.argmin(row))
-                    dist = math.sqrt(float(row[nearest]))
-                else:
-                    nearest = int(nearest_k[r])
-                if n_test_points(dist, eel) == 1:
-                    target = int(assigned[nearest])
-                else:
-                    if row is None:
-                        row = ((positions[:i] - positions[i]) ** 2
-                               ).sum(axis=1)
-                    target = walk(i, row)
-            place(i, target)
-    else:
-        for i in range(worse_half_start, s_count):
-            place(i, -1)
+            target = len(clusters)
+            clusters.append(Cluster([selection[i]]))
+        assigned[i] = target
     return clusters
-
-
-def _nearest_previous(row: np.ndarray):
-    """Yield row indices in (value, index) order, refining a partial
-    partition lazily so the common short walk never pays a full sort.
-    The first index is argmin's (the lowest index of the minimum), which
-    is all that most walks consume."""
-    n = len(row)
-    if n <= 16:
-        for j in np.argsort(row, kind="stable"):
-            yield int(j)
-        return
-    yield int(np.argmin(row))
-    yielded = 1
-    k = 8
-    while k < n:
-        part = np.argpartition(row, k - 1)[:k]
-        threshold = row[part].max()
-        prefix = np.flatnonzero(row <= threshold)
-        prefix = prefix[np.lexsort((prefix, row[prefix]))]
-        for j in prefix[yielded:]:
-            yield int(j)
-        yielded = len(prefix)
-        k *= 4
-    full = np.argsort(row, kind="stable")
-    for j in full[yielded:]:
-        yield int(j)

@@ -82,7 +82,6 @@ def cluster_pop_size(p: RestartParams, d: int) -> int:
 class EliteArchive:
     elites: list[Solution] = field(default_factory=list)
     accept_feval: list[int] = field(default_factory=list)
-    unverified: list[Solution] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.elites)
@@ -114,7 +113,6 @@ def update_elite_archive(archive: EliteArchive, candidate: Solution,
             same_niche = hill_valley_test(ev, candidate,
                                           archive.elites[nearest], n_t)
         except BudgetExhaustedError:
-            archive.unverified.append(candidate)
             return archive
 
     if not same_niche:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hillvallea.hillvalley as hillvalley
 from hillvallea.bounds import Bounds
 from hillvallea.hillvalley import (Cluster, expected_edge_length,
                                    hill_valley_clustering, hill_valley_test,
@@ -27,13 +26,13 @@ from conftest import (RecordingProblem, bowl_problem, make_solutions,
 
 def test_cluster_requires_members():
     with pytest.raises(ValueError):
-        Cluster([], 0)
+        Cluster([])
 
 
 def test_cluster_best_solution():
-    sols = [Solution(np.array([0.0]), 1.0, 1),
-            Solution(np.array([1.0]), 3.0, 2)]
-    assert Cluster(sols, 1).best_solution is sols[1]
+    sols = [Solution(np.array([1.0]), 3.0, 2),
+            Solution(np.array([0.0]), 1.0, 1)]
+    assert Cluster(sols).best_solution is sols[0]
 
 
 # --- expected edge length ---------------------------------------------------
@@ -263,23 +262,12 @@ def test_budget_exhaustion_leaves_singletons():
     assert len(clusters) == 5  # nothing merged on partial evidence
 
 
-# --- nearest-previous iteration order ---------------------------------------
-
-
-@pytest.mark.parametrize("n", [1, 5, 16, 17, 100, 300])
-def test_nearest_previous_yields_value_then_index_order(n):
-    rng = np.random.default_rng(n)
-    row = rng.uniform(size=n)
-    row[:: max(1, n // 7)] = 0.25  # inject exact ties
-    expected = sorted(range(n), key=lambda j: (row[j], j))
-    assert list(hillvalley._nearest_previous(row)) == expected
-
-
-# --- dual-route clustering equivalence --------------------------------------
-# The shipping implementation batches distance work and short-cuts the
-# worse half through a spatial index. This straightforward quadratic
-# reference encodes the intended semantics directly; both must produce
-# identical partitions AND identical evaluation streams.
+# --- nearest-first walk equivalence ----------------------------------------
+# The shipping implementation starts each walk from a few KD-tree
+# neighbours and falls back to a sort of the whole prefix. This
+# straightforward quadratic reference encodes the intended semantics
+# directly; both must produce identical partitions AND identical
+# evaluation streams.
 
 
 def reference_clustering(selection, ev, bounds):
@@ -340,28 +328,43 @@ def rugged_fn(freq: float):
     return fn
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def assert_routes_agree(problem, xs):
+    sel = sorted_selection(problem, xs)
+    rec_new = RecordingProblem(problem)
+    rec_ref = RecordingProblem(problem)
+    ev_new = Evaluator(rec_new.problem)
+    ev_ref = Evaluator(rec_ref.problem)
+
+    clusters = hill_valley_clustering(sel, ev_new, problem.bounds)
+    got = cluster_assignment(clusters, sel)
+    want = reference_clustering(sel, ev_ref, problem.bounds)
+
+    assert got == want
+    assert ev_new.evals_used == ev_ref.evals_used
+    np.testing.assert_array_equal(rec_new.stream(), rec_ref.stream())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
 def test_clustering_routes_agree_exactly(d):
+    """Small selections cover budget exhaustion. Sizes 200 and 500 make
+    heads partial so walks fall back to the prefix sort; frequency 30
+    makes valley tests fail so walks reach d + 1 clusters; grid points
+    put exact distance ties at the head cut; at d = 10 numpy sums the
+    squared differences pairwise."""
     rng = np.random.default_rng(1000 + d)
+    lower, upper = np.full(d, -3.0), np.full(d, 3.0)
     for size in (1, 2, 3, 10, 33, 64):
         for budget in (0, 3, 25, 10**9):
             freq = float(rng.integers(1, 5))
-            base = synthetic_problem(rugged_fn(freq), np.full(d, -3.0),
-                                     np.full(d, 3.0), budget=budget)
             xs = rng.uniform(-3.0, 3.0, size=(size, d))
             if size >= 4:
                 xs[-1] = xs[0]  # exact duplicate point
-            sel = sorted_selection(base, xs)
-
-            rec_new = RecordingProblem(base)
-            rec_ref = RecordingProblem(base)
-            ev_new = Evaluator(rec_new.problem)
-            ev_ref = Evaluator(rec_ref.problem)
-
-            clusters = hill_valley_clustering(sel, ev_new, base.bounds)
-            got = cluster_assignment(clusters, sel)
-            want = reference_clustering(sel, ev_ref, base.bounds)
-
-            assert got == want
-            assert ev_new.evals_used == ev_ref.evals_used
-            np.testing.assert_array_equal(rec_new.stream(), rec_ref.stream())
+            assert_routes_agree(synthetic_problem(
+                rugged_fn(freq), lower, upper, budget=budget), xs)
+    for size in (200, 500):
+        uniform = rng.uniform(-3.0, 3.0, size=(size, d))
+        grid = rng.integers(-6, 7, size=(size, d)) * 0.5
+        for xs in (uniform, grid):
+            for freq in (2.0, 30.0):
+                assert_routes_agree(synthetic_problem(
+                    rugged_fn(freq), lower, upper), xs)

@@ -139,15 +139,17 @@ def test_losing_same_niche_candidate_changes_nothing():
     assert ev.evals_used > before  # a real test ran, same basin won
 
 
-def test_exhausted_budget_parks_candidate_as_unverified():
+def test_exhausted_budget_leaves_archive_unchanged():
     problem = dataclasses.replace(bowl_problem(d=1), budget=0)
     ev = Evaluator(problem)
     archive = EliteArchive()
     near, far = make_solutions(problem, np.array([[0.1], [3.0]]))
     update_elite_archive(archive, near, ev, problem.bounds)  # empty: free
+    elites, accept_feval = list(archive.elites), list(archive.accept_feval)
     update_elite_archive(archive, far, ev, problem.bounds)
-    assert len(archive) == 1
-    assert archive.unverified == [far]
+    assert archive.elites == elites
+    assert archive.accept_feval == accept_feval
+    assert ev.evals_used == 0
 
 
 def test_prune_archive_drops_deep_local_optima():
