@@ -22,9 +22,9 @@ from .bounds import Bounds
 from .problems.evaluator import BudgetExhaustedError, Evaluator, Solution
 
 TEST_POINT_CAP = 10
-# Spatial neighbours fetched per solution. Nearly every walk ends among
-# a solution's nearest few previous solutions, so the exact sort of the
-# whole prefix is only a fallback.
+# Spatial neighbours fetched per solution. Most walks end among a
+# solution's nearest few previous solutions, so the exact sort of the
+# whole prefix is a fallback.
 _HEAD_K = 16
 # The KD-tree's distances and the exact ones differ by a few ulps of
 # rounding, so every solution whose exact squared distance lies below
@@ -136,7 +136,6 @@ def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
         """Assign solution i by testing nearest previous solutions in
         distinct clusters; returns the cluster index or -1."""
         nonlocal exhausted
-        s = selection[i]
         seen: set[int] = set()
         try:
             for dist2, j in nearest_first(i):
@@ -147,7 +146,7 @@ def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
                 n_t = n_test_points(math.sqrt(dist2), eel)
                 if i >= worse_half_start and n_t == 1:
                     return c
-                if hill_valley_test(ev, s, selection[j], n_t):
+                if hill_valley_test(ev, selection[i], selection[j], n_t):
                     return c
                 if len(seen) == max_candidates:
                     break

@@ -94,7 +94,8 @@ def update_elite_archive(archive: EliteArchive, candidate: Solution,
                          ev: Evaluator, bounds: Bounds) -> EliteArchive:
     """Merge a terminated core search's best into the archive. The
     candidate is hill-valley tested against its nearest elite only:
-    same niche keeps the fitter of the two, different niche appends."""
+    same niche keeps the fitter of the two, different niche appends.
+    When the budget runs out during the test the archive is unchanged."""
     if not archive.elites:
         archive.elites.append(candidate)
         archive.accept_feval.append(ev.evals_used)
