@@ -1,5 +1,6 @@
 """Desk-scale benchmark sweep: 10 runs of the non-composition problems
-plus the first two composition problems, printing the S1/S2/S3 table.
+plus the first two composition problems, printing the S1/SR/S3 table
+exactly as the README's "Desk-scale results" shows it.
 
 Finishes in roughly ten minutes on one core. Pass problem ids to
 restrict the sweep, e.g.  python scripts/desk_sweep.py 1 2 3
@@ -14,9 +15,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np
+
 from hillvallea.harness import ExperimentConfig, run_experiment
+from hillvallea.problems.suite import make_problem
+from hillvallea.scoring import ProblemScores
 
 DEFAULT_PROBLEMS = (1, 2, 3, 4, 5, 6, 7, 10, 11, 12)
+
+
+def readme_row(scores: ProblemScores) -> str:
+    """One row of the README table: mean peak ratio, mean success rate
+    and mean dynamic F1 over runs and accuracy levels."""
+    problem = make_problem(scores.problem_id)
+    name = problem.name.lower().replace(" function", "")
+    return (f"| {problem.id} {name} ({problem.d}D) | {scores.s1:.4f} "
+            f"| {np.mean(scores.sr):.1f} | {scores.s3:.3f} |")
 
 
 def main() -> int:
@@ -25,11 +39,10 @@ def main() -> int:
     cfg = ExperimentConfig(problems=problems, runs=10, seed=0,
                            out_dir=Path("bench-results/desk"))
     report, failures = run_experiment(cfg)
-    print(f"{'problem':>7}  {'S1':>6}  {'S2':>6}  {'S3':>6}")
+    print("| problem | S1 | SR | S3 |")
+    print("|---|---|---|---|")
     for p in report.problems:
-        print(f"{p.problem_id:>7}  {p.s1:6.4f}  {p.s2:6.4f}  {p.s3:6.4f}")
-    print(f"{'avg':>7}  {report.grand_s1:6.4f}  {report.grand_s2:6.4f}  "
-          f"{report.grand_s3:6.4f}")
+        print(readme_row(p))
     for fail in failures:
         print(f"FAILED p{fail.problem_id} run {fail.run_index}: "
               f"{fail.message}", file=sys.stderr)

@@ -10,8 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import ConfigError, ExperimentConfig, run_experiment
-from .orchestrator import DEFAULT_XI, RestartParams
+from .harness import (OUTPUT_FORMATS, ConfigError, ExperimentConfig,
+                      run_experiment)
+from .orchestrator import XI_SCALING_MODES, RestartParams
 from .problems.suite import MissingDataError
 
 
@@ -57,27 +58,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hillvallea-bench",
         description="Run the multimodal benchmark suite and emit score tables.")
+    # A dataclass keeps each field's default as a class attribute.
+    defaults = ExperimentConfig
+    xi = defaults.xi
     parser.add_argument("--problems", default="1-20",
-                        help="problem ids, e.g. '1-20' or '2,6,11' (default 1-20)")
-    parser.add_argument("--runs", type=int, default=50,
-                        help="repetitions per problem (default 50)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed; run r uses seed+r (default 0)")
-    parser.add_argument("--data-dir", type=Path, default=None,
+                        help="problem ids, e.g. '1-20' or '2,6,11' "
+                             "(default %(default)s)")
+    parser.add_argument("--runs", type=int, default=defaults.runs,
+                        help="repetitions per problem (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=defaults.seed,
+                        help="base seed; run r uses seed+r "
+                             "(default %(default)s)")
+    parser.add_argument("--data-dir", type=Path, default=defaults.data_dir,
                         help="directory with composition data files "
                              "(default: packaged data)")
-    parser.add_argument("--out", type=Path, default=Path("bench-results"),
-                        help="output directory (default bench-results)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="score table format (default csv)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes (default 1)")
+    parser.add_argument("--out", type=Path, default=defaults.out_dir,
+                        help="output directory (default %(default)s)")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS,
+                        default=defaults.fmt,
+                        help="score table format (default %(default)s)")
+    parser.add_argument("--jobs", type=int, default=defaults.jobs,
+                        help="parallel worker processes (default %(default)s)")
     parser.add_argument("--xi", default=None, metavar="N,NINC,NC,NCINC",
-                        help="restart parameters (default 64,2,0.8,1.1)")
-    parser.add_argument("--xi-scaling", choices=("with-d", "literal"),
-                        default="with-d",
+                        help="restart parameters (default "
+                             f"{xi.n},{xi.n_inc:g},{xi.n_c:g},{xi.n_c_inc:g})")
+    parser.add_argument("--xi-scaling", choices=XI_SCALING_MODES,
+                        default=defaults.xi_scaling,
                         help="scale the base population size by the problem "
-                             "dimension, or use it literally (default with-d)")
+                             "dimension, or use it literally "
+                             "(default %(default)s)")
     parser.add_argument("--budget-override", action="append", default=[],
                         metavar="P=B", help="override problem P's budget to B "
                                             "(repeatable)")
@@ -94,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             problems=parse_problem_ids(args.problems),
             runs=args.runs,
             seed=args.seed,
-            xi=parse_xi(args.xi) if args.xi else DEFAULT_XI,
+            xi=parse_xi(args.xi) if args.xi else ExperimentConfig.xi,
             xi_scaling=args.xi_scaling,
             data_dir=args.data_dir,
             out_dir=args.out,

@@ -24,6 +24,7 @@ from .scoring import (ACCURACY_LEVELS, LevelScores, ScoreReport, aggregate,
                       score_run)
 
 SCENARIOS = ("S1", "S2", "S3")
+OUTPUT_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -60,7 +61,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"invalid problem ids: {bad}")
     if cfg.runs < 1:
         raise ConfigError("runs must be at least 1")
-    if cfg.fmt not in ("csv", "json"):
+    if cfg.fmt not in OUTPUT_FORMATS:
         raise ConfigError(f"unknown output format {cfg.fmt!r}")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be at least 1")

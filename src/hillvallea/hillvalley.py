@@ -83,7 +83,8 @@ def hill_valley_test(ev: Evaluator, a: Solution, b: Solution,
 
 def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
                            bounds: Bounds) -> list[Cluster]:
-    """Partition a fitness-descending selection into niches.
+    """Partition a fitness-descending selection into niches; clusters
+    come best-first.
 
     Each solution is tested against at most d+1 nearest previous
     solutions from distinct clusters, nearest first, ties by index.

@@ -189,7 +189,7 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
             np.array([label_of[id(s)] for s in selection], dtype=int))
 
         pop_size = cluster_pop_size(p, problem.d)
-        for cluster in sorted(clusters, key=lambda c: -c.best_solution.f):
+        for cluster in clusters:
             if ev.remaining == 0:
                 break
             state = init_core_search(cluster, pop_size, bounds)

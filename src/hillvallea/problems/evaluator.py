@@ -37,7 +37,6 @@ class Evaluator:
     """Single-owner mutable evaluation gateway for one run."""
 
     def __init__(self, problem: "Problem"):
-        self.problem = problem
         self.evals_used = 0
         self._budget = problem.budget
         self._fn = problem.fn

@@ -1,14 +1,35 @@
-"""Closed-form objectives of the niching benchmark suite (problems 1-10).
+"""Closed-form problems of the niching benchmark suite (ids 1-10).
 
 All functions are maximization objectives. Each takes an array of shape
 (n, d) and returns the n fitness values. Source functions that are
 conventionally minimized (six-hump camel back, Shubert, modified
 Rastrigin) are negated here once and for all.
+
+Each objective sits beside the derivation of its global optima. Positions
+are either exact by construction (trap endpoints, sine peaks, cosine
+grids) or polished numerically from analytic seeds (root finding on the
+gradient, bounded scalar minimization).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Callable
+
 import numpy as np
+from scipy.optimize import fsolve, minimize_scalar
+
+
+def _sorted_rows(points: np.ndarray) -> np.ndarray:
+    order = np.lexsort(points.T[::-1])
+    return points[order]
+
+
+def _lattice(axes: list[np.ndarray]) -> np.ndarray:
+    """Rows of the Cartesian product of the per-coordinate values."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
 
 # The trap's eight linear pieces, split at the breaks: piece i is
 # slope * (t - anchor) when rising and slope * (anchor - t) when falling.
@@ -28,9 +49,17 @@ def five_uneven_peak_trap(x: np.ndarray) -> np.ndarray:
                     slope * (anchor - t))
 
 
+def _five_uneven_peak_trap_optima() -> np.ndarray:
+    return np.array([[0.0], [30.0]])
+
+
 def equal_maxima(x: np.ndarray) -> np.ndarray:
     """Five equal peaks of height 1 at x = 0.1, 0.3, 0.5, 0.7, 0.9."""
     return np.sin(5.0 * np.pi * x[:, 0]) ** 6
+
+
+def _equal_maxima_optima() -> np.ndarray:
+    return np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
 
 
 def uneven_decreasing_maxima(x: np.ndarray) -> np.ndarray:
@@ -40,11 +69,32 @@ def uneven_decreasing_maxima(x: np.ndarray) -> np.ndarray:
     return env * np.sin(5.0 * np.pi * (t ** 0.75 - 0.05)) ** 6
 
 
+def _uneven_decreasing_maxima_optima() -> np.ndarray:
+    res = minimize_scalar(
+        lambda t: -uneven_decreasing_maxima(np.array([[t]]))[0],
+        bounds=(0.05, 0.12), method="bounded",
+        options={"xatol": 1e-13},
+    )
+    return np.array([[res.x]])
+
+
 def himmelblau(x: np.ndarray) -> np.ndarray:
     """Himmelblau rescaled to maximization; four peaks of exactly 200."""
     a = x[:, 0] ** 2 + x[:, 1] - 11.0
     b = x[:, 0] + x[:, 1] ** 2 - 7.0
     return 200.0 - a * a - b * b
+
+
+def _himmelblau_optima() -> np.ndarray:
+    def grad(p: np.ndarray) -> list[float]:
+        x, y = p
+        u = x * x + y - 11.0
+        v = x + y * y - 7.0
+        return [4.0 * x * u + 2.0 * v, 2.0 * u + 4.0 * y * v]
+
+    seeds = [(3.0, 2.0), (-2.8, 3.1), (-3.78, -3.28), (3.58, -1.85)]
+    roots = [fsolve(grad, seed, xtol=1e-13) for seed in seeds]
+    return _sorted_rows(np.array(roots))
 
 
 def six_hump_camel_back(x: np.ndarray) -> np.ndarray:
@@ -56,17 +106,71 @@ def six_hump_camel_back(x: np.ndarray) -> np.ndarray:
     return -((4.0 - 2.1 * u2 + u2 * u2 / 3.0) * u2 + u * v + (4.0 * v2 - 4.0) * v2)
 
 
+def _six_hump_camel_back_optima() -> np.ndarray:
+    def grad(p: np.ndarray) -> list[float]:
+        x, y = p
+        return [8.0 * x - 8.4 * x ** 3 + 2.0 * x ** 5 + y,
+                x - 8.0 * y + 16.0 * y ** 3]
+
+    roots = [fsolve(grad, seed, xtol=1e-13)
+             for seed in [(0.09, -0.71), (-0.09, 0.71)]]
+    return _sorted_rows(np.array(roots))
+
+
+def _shubert_factor(y: np.ndarray) -> np.ndarray:
+    """Sum_j j*cos((j+1)*y + j) over j = 1..5, per coordinate."""
+    j = np.arange(1.0, 6.0)
+    return (j * np.cos((j + 1.0) * y[..., None] + j)).sum(axis=-1)
+
+
 def shubert(x: np.ndarray) -> np.ndarray:
     """Negated Shubert function; n*3^n global peaks on [-10, 10]^n."""
-    j = np.arange(1.0, 6.0)
-    # Sum_j j*cos((j+1)*x + j), per coordinate, then product over coordinates.
-    terms = j * np.cos((j + 1.0) * x[..., None] + j)
-    return -np.prod(terms.sum(axis=-1), axis=-1)
+    return -np.prod(_shubert_factor(x), axis=-1)
+
+
+def _shubert_factor_extrema() -> tuple[np.ndarray, np.ndarray]:
+    """Locations of the three lowest minima and three highest maxima of
+    the one-dimensional factor on [-10, 10], polished to ~1e-12."""
+    grid = np.linspace(-10.0, 10.0, 20001)
+    vals = _shubert_factor(grid)
+
+    def polish(sign: float) -> np.ndarray:
+        v = sign * vals
+        interior = (v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])
+        locs = []
+        for i in np.flatnonzero(interior) + 1:
+            res = minimize_scalar(
+                lambda t: float(sign * _shubert_factor(np.asarray(t))),
+                bounds=(grid[i - 1], grid[i + 1]), method="bounded",
+                options={"xatol": 1e-13},
+            )
+            locs.append((res.fun, res.x))
+        best = min(f for f, _ in locs)
+        xs = np.array(sorted(x for f, x in locs if f - best < 1e-6))
+        if len(xs) != 3:
+            raise RuntimeError(f"expected 3 extrema copies, found {len(xs)}")
+        return xs
+
+    return polish(1.0), polish(-1.0)
+
+
+def _shubert_optima(d: int) -> np.ndarray:
+    mins, maxs = _shubert_factor_extrema()
+    # The product of factors is most negative with exactly one factor at
+    # a minimum of the 1-D factor and the rest at maxima.
+    return _sorted_rows(np.vstack([
+        _lattice([mins if axis == neg_axis else maxs for axis in range(d)])
+        for neg_axis in range(d)]))
 
 
 def vincent(x: np.ndarray) -> np.ndarray:
     """Mean of sin(10 ln x_i); 6^d equal global peaks on [0.25, 10]^d."""
     return np.sin(10.0 * np.log(x)).mean(axis=1)
+
+
+def _vincent_optima(d: int) -> np.ndarray:
+    peaks = np.exp((np.pi / 2.0 + 2.0 * np.pi * np.arange(-2, 4)) / 10.0)
+    return _sorted_rows(_lattice([peaks] * d))
 
 
 _MOD_RASTRIGIN_K = np.array([3.0, 4.0])
@@ -75,3 +179,31 @@ _MOD_RASTRIGIN_K = np.array([3.0, 4.0])
 def modified_rastrigin(x: np.ndarray) -> np.ndarray:
     """Negated modified Rastrigin (d=2, k=(3,4)); 12 global peaks of -2."""
     return -(10.0 + 9.0 * np.cos(2.0 * np.pi * _MOD_RASTRIGIN_K * x)).sum(axis=1)
+
+
+def _modified_rastrigin_optima() -> np.ndarray:
+    return _sorted_rows(_lattice([(2.0 * np.arange(k) + 1.0) / (2.0 * k)
+                                  for k in _MOD_RASTRIGIN_K]))
+
+
+# Problem id -> (objective, derivation of its global optima's positions).
+_BUILDERS = {
+    1: (five_uneven_peak_trap, _five_uneven_peak_trap_optima),
+    2: (equal_maxima, _equal_maxima_optima),
+    3: (uneven_decreasing_maxima, _uneven_decreasing_maxima_optima),
+    4: (himmelblau, _himmelblau_optima),
+    5: (six_hump_camel_back, _six_hump_camel_back_optima),
+    6: (shubert, lambda: _shubert_optima(2)),
+    7: (vincent, lambda: _vincent_optima(2)),
+    8: (shubert, lambda: _shubert_optima(3)),
+    9: (vincent, lambda: _vincent_optima(3)),
+    10: (modified_rastrigin, _modified_rastrigin_optima),
+}
+
+
+@lru_cache(maxsize=None)
+def closed_form(problem_id: int
+                ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """(objective, global-optima positions) of problem 1-10."""
+    fn, optima = _BUILDERS[problem_id]
+    return fn, optima()

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ..bounds import Bounds
-from . import functions, optima
+from .functions import closed_form
 from .composition import (FAMILIES, composition_data_filename,
                           load_composition)
 
@@ -72,19 +72,6 @@ _TABLE: dict[int, tuple] = {
     20: ("Composition Function 4", 20, 8, 400_000, None, 0.01, "CF4"),
 }
 
-_CLOSED_FORM_FN = {
-    1: functions.five_uneven_peak_trap,
-    2: functions.equal_maxima,
-    3: functions.uneven_decreasing_maxima,
-    4: functions.himmelblau,
-    5: functions.six_hump_camel_back,
-    6: functions.shubert,
-    7: functions.vincent,
-    8: functions.shubert,
-    9: functions.vincent,
-    10: functions.modified_rastrigin,
-}
-
 PROBLEM_IDS = tuple(sorted(_TABLE))
 
 
@@ -96,8 +83,7 @@ def make_problem(problem_id: int,
 
     if family_name is None:
         bounds = Bounds(np.array(box[0]), np.array(box[1]))
-        fn = _CLOSED_FORM_FN[problem_id]
-        positions, fitness = optima.closed_form_optima(problem_id)
+        fn, positions = closed_form(problem_id)
     else:
         bounds = Bounds(np.full(d, -5.0), np.full(d, 5.0))
         family = FAMILIES[family_name]
@@ -107,9 +93,11 @@ def make_problem(problem_id: int,
             raise MissingDataError(f"composition data file not found: {path}")
         fn = load_composition(family, d, path)
         positions = fn.shifts.copy()
-        positions.setflags(write=False)
-        fitness = fn(positions)
-        fitness.setflags(write=False)
+    # Stored fitness is the objective at the stored position, so
+    # evaluating a stored optimum reproduces its stored fitness exactly.
+    fitness = fn(positions)
+    positions.setflags(write=False)
+    fitness.setflags(write=False)
 
     if len(positions) != n_global:
         raise InvalidProblemError(

@@ -140,11 +140,10 @@ class LevelScores:
     dyn_f1: float
 
 
-def score_run(trace: RunTrace, problem: Problem,
-              levels: Sequence[float] = ACCURACY_LEVELS) -> list[LevelScores]:
+def score_run(trace: RunTrace, problem: Problem) -> list[LevelScores]:
     solutions = [Solution(x, fit, int(fe)) for (fe, fit, x) in trace.records]
     out = []
-    for eps in levels:
+    for eps in ACCURACY_LEVELS:
         g = count_distinct_global(solutions, problem, eps)
         pr = peak_ratio(g, problem.n_global_optima)
         sr = success_rate(g, len(solutions))

@@ -11,6 +11,7 @@ documented and runnable rather than executing it.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
 import math
 import time
@@ -28,13 +29,14 @@ from hillvallea.orchestrator import RestartParams, RunTrace, run
 from hillvallea.problems.evaluator import Evaluator, Solution
 from hillvallea.problems.suite import MissingDataError, make_problem
 from hillvallea.sampling import greedy_scattered_subset
-from hillvallea.scoring import (ACCURACY_LEVELS, LevelScores,
+from hillvallea.scoring import (ACCURACY_LEVELS, LevelScores, aggregate,
                                 count_distinct_global, dyn_f1, f1,
                                 peak_ratio, score_run, success_rate)
 
 from conftest import bowl_problem, make_solutions, sorted_selection, \
     synthetic_problem
 
+REPO = Path(__file__).resolve().parent.parent
 N_RUNS = 10
 FAST_PIDS = (1, 2, 3, 4, 5, 10)
 HARD_PIDS = (6, 7)
@@ -409,7 +411,7 @@ def test_criterion_6_fuzzed_runs_never_exceed_budget():
 
 
 def test_criterion_7_full_scale_reproduction_documented():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = REPO / "README.md"
     text = " ".join(readme.read_text().split())
     for needle in ("50 runs", "20 problems", "±0.02",
                    "0.892", "0.934", "0.883", "xi-scaling"):
@@ -424,3 +426,32 @@ def test_criterion_7_full_scale_reproduction_documented():
     assert cfg.problems == tuple(range(1, 21)) and cfg.runs == 50
     script = readme.parent / "scripts" / "full_table.py"
     assert script.exists()
+
+
+# --- README desk-scale table ------------------------------------------------
+
+
+def test_readme_desk_table_matches_desk_sweep(desk, composition_desk):
+    """The README's desk-scale rows are what scripts/desk_sweep.py
+    prints for the desk runs; composition rows are checked only when
+    their data files are available."""
+    spec = importlib.util.spec_from_file_location(
+        "desk_sweep", REPO / "scripts" / "desk_sweep.py")
+    desk_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(desk_sweep)
+
+    section = (REPO / "README.md").read_text().split(
+        "## Desk-scale results", 1)[1].split("\n## ", 1)[0]
+    readme = {int(line.split()[1]): line for line in section.splitlines()
+              if line.startswith("| ") and line.split()[1].isdigit()}
+    assert set(readme) == set(FAST_PIDS + HARD_PIDS + COMPOSITION_PIDS)
+
+    composition, waiver = composition_desk
+    groups = {**desk, **composition}
+    report = aggregate({pid: g.scores for pid, g in groups.items()})
+    expected = {p.problem_id: desk_sweep.readme_row(p)
+                for p in report.problems}
+    if waiver is not None:
+        readme = {pid: row for pid, row in readme.items()
+                  if pid not in COMPOSITION_PIDS}
+    assert readme == expected

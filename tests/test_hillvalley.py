@@ -203,6 +203,8 @@ def test_clustering_is_a_partition_on_rugged_landscapes():
         assert sorted(seen_ids) == sorted(id(s) for s in sel)
         assert len(seen_ids) == size
         assert 1 <= len(clusters) <= size
+        best = [c.best_solution.f for c in clusters]
+        assert all(a >= b for a, b in zip(best, best[1:]))
 
 
 def test_force_accept_consumes_zero_evaluations():
