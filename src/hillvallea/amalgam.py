@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Bounds
-from .hillvalley import Cluster
 from .problems.evaluator import Evaluator, Solution
 
 
@@ -74,9 +73,12 @@ def guideline_pop_size(d: int) -> int:
     return int(np.ceil(10.0 * np.sqrt(d)))
 
 
-def init_core_search(cluster: Cluster, pop_size: int,
+def init_core_search(cluster: list[Solution], pop_size: int,
                      bounds: Bounds) -> CoreSearchState:
-    xs = np.array([m.x for m in cluster.members])
+    """Start a search at a cluster's members, given best first: their
+    mean, their sample standard deviation floored at a fraction of the
+    domain range, and the first member as the tracked best."""
+    xs = np.array([m.x for m in cluster])
     mean = xs.mean(axis=0)
     if len(xs) > 1:
         stddev = xs.std(axis=0, ddof=1)
@@ -85,7 +87,7 @@ def init_core_search(cluster: Cluster, pop_size: int,
     stddev = np.maximum(stddev, INIT_STDDEV_FLOOR * bounds.range)
     return CoreSearchState(
         mean=mean, stddev=stddev, c_mult=1.0, pop_size=pop_size, nis=0,
-        best=cluster.best_solution, prev_mean=mean.copy(), generation=0,
+        best=cluster[0], prev_mean=mean.copy(), generation=0,
         bounds=bounds,
     )
 

@@ -153,11 +153,10 @@ def emit_tables(report: ScoreReport, out_dir: Path | str,
     and their mean, plus an 'avg' summary row per scenario."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    levels = report.problems[0].levels if report.problems else ACCURACY_LEVELS
 
     if fmt == "csv":
         cols = ["problem", "scenario", "accuracy_mean_score"]
-        cols += [f"score_eps_{eps:.0e}" for eps in levels]
+        cols += [f"score_eps_{eps:.0e}" for eps in ACCURACY_LEVELS]
         lines = [",".join(cols)]
         for p in report.problems:
             for scenario in SCENARIOS:
@@ -173,7 +172,7 @@ def emit_tables(report: ScoreReport, out_dir: Path | str,
                 by_level = [
                     float(np.mean([_scenario_levels(p, scenario)[k]
                                    for p in report.problems]))
-                    for k in range(len(levels))]
+                    for k in range(len(ACCURACY_LEVELS))]
                 lines.append(",".join(
                     ["avg", scenario, f"{grand:.17g}"]
                     + [f"{v:.17g}" for v in by_level]))
@@ -185,7 +184,7 @@ def emit_tables(report: ScoreReport, out_dir: Path | str,
         raise ConfigError(f"unknown output format {fmt!r}")
     tree = {
         "n_runs": {str(p.problem_id): p.n_runs for p in report.problems},
-        "levels": list(levels),
+        "levels": list(ACCURACY_LEVELS),
         "problems": [
             {
                 "id": p.problem_id,

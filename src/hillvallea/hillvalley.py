@@ -13,7 +13,6 @@ with an exact sort of the whole prefix as the rare fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -30,21 +29,6 @@ _HEAD_K = 16
 # rounding, so every solution whose exact squared distance lies below
 # this fraction of the k-th fetched squared distance was fetched.
 _HEAD_MARGIN = 1.0 - 1e-9
-
-
-@dataclass(eq=False)
-class Cluster:
-    """Members are best-first."""
-
-    members: list[Solution]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("cluster must have at least one member")
-
-    @property
-    def best_solution(self) -> Solution:
-        return self.members[0]
 
 
 def expected_edge_length(n: int, bounds: Bounds) -> float:
@@ -82,9 +66,10 @@ def hill_valley_test(ev: Evaluator, a: Solution, b: Solution,
 
 
 def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
-                           bounds: Bounds) -> list[Cluster]:
-    """Partition a fitness-descending selection into niches; clusters
-    come best-first.
+                           bounds: Bounds) -> list[list[Solution]]:
+    """Partition a fitness-descending selection into niches. Each
+    cluster is a list of solutions, best first, and the clusters come
+    in the order of their best solutions.
 
     Each solution is tested against at most d+1 nearest previous
     solutions from distinct clusters, nearest first, ties by index.
@@ -155,15 +140,15 @@ def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
             exhausted = True
         return -1
 
-    clusters = [Cluster([selection[0]])]
+    clusters = [[selection[0]]]
     assigned = [0] * s_count
     exhausted = False
     for i in range(1, s_count):
         target = -1 if exhausted else walk(i)
         if target >= 0:
-            clusters[target].members.append(selection[i])
+            clusters[target].append(selection[i])
         else:
             target = len(clusters)
-            clusters.append(Cluster([selection[i]]))
+            clusters.append([selection[i]])
         assigned[i] = target
     return clusters

@@ -11,7 +11,7 @@ doubles and the cluster-size factor grows by 1.1x per restart.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,75 +78,56 @@ def cluster_pop_size(p: RestartParams, d: int) -> int:
     return max(2, int(np.ceil(p.n_c * guideline_pop_size(d))))
 
 
-@dataclass(eq=False)
-class EliteArchive:
-    elites: list[Solution] = field(default_factory=list)
-    accept_feval: list[int] = field(default_factory=list)
+def update_elite_archive(elites: list[Solution], candidate: Solution,
+                         ev: Evaluator, bounds: Bounds) -> None:
+    """Merge a terminated core search's best into the archive, a list
+    in acceptance order whose elites carry their acceptance index as
+    eval_index. The candidate is hill-valley tested against its nearest
+    elite only: a different niche appends it, stamped with the current
+    evaluation count; the same niche keeps the fitter of the two, and a
+    winning candidate keeps its own index and moves to its place in
+    acceptance order (stable on ties). When the budget runs out during
+    the test the archive is unchanged."""
+    if not elites:
+        elites.append(Solution(candidate.x, candidate.f, ev.evals_used))
+        return
 
-    def __len__(self) -> int:
-        return len(self.elites)
-
-    def best_fitness(self) -> float:
-        return max(e.f for e in self.elites) if self.elites else -np.inf
-
-
-def update_elite_archive(archive: EliteArchive, candidate: Solution,
-                         ev: Evaluator, bounds: Bounds) -> EliteArchive:
-    """Merge a terminated core search's best into the archive. The
-    candidate is hill-valley tested against its nearest elite only:
-    same niche keeps the fitter of the two, different niche appends.
-    When the budget runs out during the test the archive is unchanged."""
-    if not archive.elites:
-        archive.elites.append(candidate)
-        archive.accept_feval.append(ev.evals_used)
-        return archive
-
-    positions = np.array([e.x for e in archive.elites])
+    positions = np.array([e.x for e in elites])
     d2 = ((positions - candidate.x) ** 2).sum(axis=1)
     nearest = int(np.argmin(d2))
     dist = float(np.sqrt(d2[nearest]))
     if dist <= DUPLICATE_DISTANCE_FRACTION * float(np.linalg.norm(bounds.range)):
         same_niche = True
     else:
-        eel = expected_edge_length(len(archive.elites) + 1, bounds)
+        eel = expected_edge_length(len(elites) + 1, bounds)
         n_t = n_test_points(dist, eel)
         try:
-            same_niche = hill_valley_test(ev, candidate,
-                                          archive.elites[nearest], n_t)
+            same_niche = hill_valley_test(ev, candidate, elites[nearest], n_t)
         except BudgetExhaustedError:
-            return archive
+            return
 
     if not same_niche:
-        archive.elites.append(candidate)
-        archive.accept_feval.append(ev.evals_used)
-    elif candidate.f > archive.elites[nearest].f:
-        archive.elites[nearest] = candidate
-        archive.accept_feval[nearest] = candidate.eval_index
-        order = np.argsort(archive.accept_feval, kind="stable")
-        archive.elites = [archive.elites[k] for k in order]
-        archive.accept_feval = [archive.accept_feval[k] for k in order]
-    return archive
+        elites.append(Solution(candidate.x, candidate.f, ev.evals_used))
+    elif candidate.f > elites[nearest].f:
+        elites[nearest] = candidate
+        elites.sort(key=lambda e: e.eval_index)
 
 
-def prune_archive(archive: EliteArchive, tol: float) -> EliteArchive:
+def prune_archive(elites: list[Solution], tol: float) -> None:
     """Drop elites more than tol below the archive's best fitness, in
     place. Keeps acceptance order."""
-    if archive.elites:
-        cutoff = archive.best_fitness() - tol
-        kept = [k for k, e in enumerate(archive.elites) if e.f >= cutoff]
-        archive.elites = [archive.elites[k] for k in kept]
-        archive.accept_feval = [archive.accept_feval[k] for k in kept]
-    return archive
+    if elites:
+        cutoff = max(e.f for e in elites) - tol
+        elites[:] = [e for e in elites if e.f >= cutoff]
 
 
 @dataclass(eq=False)
 class RunTrace:
     """(feval_index, fitness, position) per accepted elite, in
-    acceptance order, plus the run's budget and seed."""
+    acceptance order, plus the run's budget."""
 
     records: list[tuple[int, float, np.ndarray]]
     budget: int
-    seed: int
 
     @property
     def fevals(self) -> np.ndarray:
@@ -161,11 +142,14 @@ class RunTrace:
 
 
 def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
-        *, xi_scaling: str = "with-d") -> tuple[EliteArchive, RunTrace]:
+        *, xi_scaling: str = "with-d") -> tuple[list[Solution], RunTrace]:
+    """Optimize until the budget runs out. Returns the elites in
+    acceptance order, each with its acceptance index as eval_index, and
+    the trace of the same."""
     rng = np.random.default_rng(seed)
     ev = Evaluator(problem)
     bounds = problem.bounds
-    archive = EliteArchive()
+    elites: list[Solution] = []
     history = EMPTY_HISTORY
     p = initial_restart_params(p0, problem.d, xi_scaling)
 
@@ -180,13 +164,9 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
                      for j in order]
         clusters = hill_valley_clustering(selection, ev, bounds)
 
-        label_of = {}
-        for ci, cluster in enumerate(clusters):
-            for member in cluster.members:
-                label_of[id(member)] = ci
         history = LabeledHistory(
-            np.array([s.x for s in selection]),
-            np.array([label_of[id(s)] for s in selection], dtype=int))
+            np.array([m.x for c in clusters for m in c]),
+            np.repeat(np.arange(len(clusters)), [len(c) for c in clusters]))
 
         pop_size = cluster_pop_size(p, problem.d)
         for cluster in clusters:
@@ -195,11 +175,10 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
             state = init_core_search(cluster, pop_size, bounds)
             while not core_search_terminated(state):
                 state = core_search_step(state, ev, rng)
-            update_elite_archive(archive, state.best, ev, bounds)
+            update_elite_archive(elites, state.best, ev, bounds)
         p = restart_update(p)
 
-    prune_archive(archive, ELITE_PRUNE_TOL)
-    trace = RunTrace(
-        [(t, e.f, e.x) for t, e in zip(archive.accept_feval, archive.elites)],
-        problem.budget, seed)
-    return archive, trace
+    prune_archive(elites, ELITE_PRUNE_TOL)
+    trace = RunTrace([(e.eval_index, e.f, e.x) for e in elites],
+                     problem.budget)
+    return elites, trace

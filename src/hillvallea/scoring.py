@@ -156,7 +156,6 @@ def score_run(trace: RunTrace, problem: Problem) -> list[LevelScores]:
 class ProblemScores:
     problem_id: int
     n_runs: int
-    levels: tuple[float, ...]
     pr: tuple[float, ...]       # per level, averaged over runs
     sr: tuple[float, ...]
     f1: tuple[float, ...]
@@ -199,14 +198,11 @@ def aggregate(per_problem: dict[int, list[list[LevelScores]]]) -> ScoreReport:
     rows = []
     for pid in sorted(per_problem):
         runs = per_problem[pid]
-        levels = tuple(ls.eps for ls in runs[0])
-        if any(tuple(ls.eps for ls in r) != levels for r in runs):
-            raise ValueError(f"problem {pid}: runs scored at differing levels")
         by_level = lambda attr: tuple(
             float(np.mean([getattr(r[k], attr) for r in runs]))
-            for k in range(len(levels)))
+            for k in range(len(ACCURACY_LEVELS)))
         rows.append(ProblemScores(
-            problem_id=pid, n_runs=len(runs), levels=levels,
+            problem_id=pid, n_runs=len(runs),
             pr=by_level("pr"), sr=by_level("sr"), f1=by_level("f1"),
             dyn_f1=by_level("dyn_f1")))
     return ScoreReport(problems=tuple(rows))

@@ -276,7 +276,7 @@ def test_criterion_6_clustering_invariants_across_dimensions():
             selection = sorted_selection(rugged_problem, xs)
             clusters = hill_valley_clustering(
                 selection, Evaluator(rugged_problem), rugged_problem.bounds)
-            clustered = [s for c in clusters for s in c.members]
+            clustered = [s for c in clusters for s in c]
             assert len(clustered) == size
             assert {id(s) for s in clustered} == {id(s) for s in selection}
 
@@ -289,7 +289,7 @@ def test_criterion_6_clustering_invariants_across_dimensions():
             clusters = hill_valley_clustering(
                 selection, Evaluator(bowl), bowl.bounds)
             assert len(clusters) == 1
-            assert len(clusters[0].members) == size
+            assert len(clusters[0]) == size
 
         # Force-accept: worse-half solutions within one expected edge
         # length of their nearest better neighbor join it untested, so
@@ -307,7 +307,7 @@ def test_criterion_6_clustering_invariants_across_dimensions():
         clusters = hill_valley_clustering(selection, ev, zero_budget.bounds)
         assert ev.evals_used == 0
         assert len(clusters) == 1
-        assert len(clusters[0].members) == n
+        assert len(clusters[0]) == n
 
 
 def _min_pairwise(points: np.ndarray) -> float:
@@ -375,7 +375,7 @@ def test_criterion_6_dynamic_f1_matches_independent_integrator():
                 records.append((int(fe), 1.0, np.array([opt + 0.5])))
             else:             # right position, fitness outside every level
                 records.append((int(fe), 0.3, np.array([opt])))
-        trace = RunTrace(records=records, budget=budget, seed=0)
+        trace = RunTrace(records=records, budget=budget)
         for eps in (1e-1, 1e-3):
             expected = _integrated_f1(trace, problem, eps)
             assert abs(dyn_f1(trace, problem, eps) - expected) <= 1e-12

@@ -19,7 +19,6 @@ from hillvallea.amalgam import (AMS_FRACTION, C_MULT_MAX, C_MULT_MIN,
                                 core_search_terminated, guideline_pop_size,
                                 init_core_search)
 from hillvallea.bounds import Bounds
-from hillvallea.hillvalley import Cluster
 from hillvallea.problems.evaluator import Evaluator, Solution
 
 from conftest import RecordingProblem, quadratic_bowl, synthetic_problem
@@ -33,11 +32,11 @@ def offset_bowl_problem(budget=10**9):
                              optima_fitness=np.zeros(1))
 
 
-def unit_spread_cluster() -> Cluster:
+def unit_spread_cluster() -> list[Solution]:
     """Two members straddling 0 whose sample standard deviation is 1."""
     a = 1.0 / math.sqrt(2.0)
-    return Cluster([Solution(np.array([a]), -(a - 3.0) ** 2, 2),
-                    Solution(np.array([-a]), -(-a - 3.0) ** 2, 1)])
+    return [Solution(np.array([a]), -(a - 3.0) ** 2, 2),
+            Solution(np.array([-a]), -(-a - 3.0) ** 2, 1)]
 
 
 # --- population sizing ------------------------------------------------------
@@ -72,7 +71,7 @@ def test_default_config_constants():
 def test_init_singleton_cluster_floors_the_spread():
     bounds = Bounds(np.array([-50.0]), np.array([50.0]))
     member = Solution(np.array([7.0]), -16.0, 1)
-    state = init_core_search(Cluster([member]), 10, bounds)
+    state = init_core_search([member], 10, bounds)
     np.testing.assert_array_equal(state.mean, np.array([7.0]))
     np.testing.assert_allclose(state.stddev, 1e-4 * 100.0)
     assert state.c_mult == 1.0
@@ -85,7 +84,7 @@ def test_init_two_member_cluster_mean_and_sample_stddev():
     bounds = Bounds(np.array([-50.0]), np.array([50.0]))
     members = [Solution(np.array([2.0]), -1.0, 2),
                Solution(np.array([0.0]), -9.0, 1)]
-    state = init_core_search(Cluster(members), 10, bounds)
+    state = init_core_search(members, 10, bounds)
     np.testing.assert_allclose(state.mean, np.array([1.0]), atol=1e-15)
     np.testing.assert_allclose(state.stddev, np.array([math.sqrt(2.0)]),
                                atol=1e-15)
@@ -153,7 +152,7 @@ def test_samples_stay_inside_bounds():
 
     problem = synthetic_problem(spy, [-1.0], [1.0])
     member = Solution(np.array([1.0]), -1.0, 1)
-    state = init_core_search(Cluster([member]), 16, problem.bounds)
+    state = init_core_search([member], 16, problem.bounds)
     state = dataclasses.replace(state, stddev=np.array([100.0]))
     core_search_step(state, Evaluator(problem), np.random.default_rng(3))
     sampled = np.vstack(fn_box)

@@ -11,6 +11,12 @@ platform (numpy build and CPU). Regenerate with
     PYTHONPATH=src python tests/test_golden.py --write
 
 only when a change of the seeded output is intended, and say why.
+
+    PYTHONPATH=src python tests/test_golden.py --print 11-20
+
+prints the fingerprints of the given problems (ids as the CLI's
+--problems takes them) as JSON and writes nothing, so two checkouts'
+outputs can be compared with diff.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hillvallea.cli import parse_problem_ids
 from hillvallea.orchestrator import run
 from hillvallea.problems.suite import make_problem
 from hillvallea.scoring import score_run
@@ -68,8 +75,17 @@ def test_seed0_trace_matches_golden(pid):
     assert fingerprint(pid) == golden
 
 
+def fingerprints(pids) -> str:
+    table = {f"p{pid:02d}": fingerprint(pid) for pid in pids}
+    return json.dumps(table, indent=2) + "\n"
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: python tests/test_golden.py --write")
-    table = {f"p{pid:02d}": fingerprint(pid) for pid in GOLDEN_PIDS}
-    GOLDEN_FILE.write_text(json.dumps(table, indent=2) + "\n")
+    args = sys.argv[1:]
+    if args == ["--write"]:
+        GOLDEN_FILE.write_text(fingerprints(GOLDEN_PIDS))
+    elif len(args) == 2 and args[0] == "--print":
+        sys.stdout.write(fingerprints(parse_problem_ids(args[1])))
+    else:
+        raise SystemExit("usage: python tests/test_golden.py "
+                         "--write | --print IDS")

@@ -108,8 +108,7 @@ def test_failed_runs_are_reported_not_fatal(tmp_path, monkeypatch):
             raise RuntimeError("boom")
         x = np.array([0.1])
         f = float(problem.fn(x[None, :])[0])
-        return None, RunTrace(records=[(1, f, x)], budget=problem.budget,
-                              seed=seed)
+        return None, RunTrace(records=[(1, f, x)], budget=problem.budget)
 
     monkeypatch.setattr(harness, "run", flaky_run)
     cfg = ExperimentConfig(problems=(2,), runs=2, seed=0, out_dir=tmp_path)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hillvallea.bounds import Bounds
-from hillvallea.hillvalley import (Cluster, expected_edge_length,
+from hillvallea.hillvalley import (expected_edge_length,
                                    hill_valley_clustering, hill_valley_test,
                                    n_test_points)
 from hillvallea.problems.evaluator import (BudgetExhaustedError, Evaluator,
@@ -19,20 +19,6 @@ from hillvallea.problems.suite import make_problem
 
 from conftest import (RecordingProblem, bowl_problem, make_solutions,
                       sorted_selection, synthetic_problem)
-
-
-# --- cluster container ------------------------------------------------------
-
-
-def test_cluster_requires_members():
-    with pytest.raises(ValueError):
-        Cluster([])
-
-
-def test_cluster_best_solution():
-    sols = [Solution(np.array([1.0]), 3.0, 2),
-            Solution(np.array([0.0]), 1.0, 1)]
-    assert Cluster(sols).best_solution is sols[0]
 
 
 # --- expected edge length ---------------------------------------------------
@@ -144,7 +130,7 @@ def test_singleton_selection_forms_one_cluster():
     sel = make_solutions(problem, np.array([[1.0, 1.0]]))
     clusters = hill_valley_clustering(sel, ev, problem.bounds)
     assert len(clusters) == 1
-    assert clusters[0].members == sel
+    assert clusters[0] == sel
     assert ev.evals_used == 0
 
 
@@ -171,11 +157,11 @@ def test_equal_maxima_selection_splits_into_five_niches():
     clusters = hill_valley_clustering(sel, ev, problem.bounds)
     assert len(clusters) == 5
     for cluster in clusters:
-        assert len(cluster.members) == 2
-        xs = sorted(float(m.x[0]) for m in cluster.members)
+        assert len(cluster) == 2
+        xs = sorted(float(m.x[0]) for m in cluster)
         # Each niche pairs one peak with its nearby offset point.
         assert xs[1] - xs[0] == pytest.approx(0.02, abs=1e-12)
-        assert cluster.best_solution.f == max(m.f for m in cluster.members)
+        assert cluster[0].f == max(m.f for m in cluster)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -188,7 +174,7 @@ def test_concave_bowl_always_one_cluster(d):
         clusters = hill_valley_clustering(sel, Evaluator(problem),
                                           problem.bounds)
         assert len(clusters) == 1
-        assert len(clusters[0].members) == size
+        assert len(clusters[0]) == size
 
 
 def test_clustering_is_a_partition_on_rugged_landscapes():
@@ -199,11 +185,11 @@ def test_clustering_is_a_partition_on_rugged_landscapes():
                                rng.uniform(-10.0, 10.0, size=(size, 2)))
         clusters = hill_valley_clustering(sel, Evaluator(problem),
                                           problem.bounds)
-        seen_ids = [id(m) for c in clusters for m in c.members]
+        seen_ids = [id(m) for c in clusters for m in c]
         assert sorted(seen_ids) == sorted(id(s) for s in sel)
         assert len(seen_ids) == size
         assert 1 <= len(clusters) <= size
-        best = [c.best_solution.f for c in clusters]
+        best = [c[0].f for c in clusters]
         assert all(a >= b for a, b in zip(best, best[1:]))
 
 
@@ -227,7 +213,7 @@ def test_force_accept_consumes_zero_evaluations():
     clusters = hill_valley_clustering(sel, ev, bounds)
     assert ev.evals_used == 0
     assert len(clusters) == 1
-    assert len(clusters[0].members) == n
+    assert len(clusters[0]) == n
 
 
 def test_force_accept_joins_the_nearest_better_cluster():
@@ -243,8 +229,8 @@ def test_force_accept_joins_the_nearest_better_cluster():
     assert len(clusters) == 5
     straggler_cluster = next(
         c for c in clusters
-        if any(float(m.x[0]) == 0.72 for m in c.members))
-    assert any(float(m.x[0]) == 0.7 for m in straggler_cluster.members)
+        if any(float(m.x[0]) == 0.72 for m in c))
+    assert any(float(m.x[0]) == 0.7 for m in straggler_cluster)
 
 
 def test_budget_exhaustion_leaves_singletons():
@@ -259,7 +245,7 @@ def test_budget_exhaustion_leaves_singletons():
     clusters = hill_valley_clustering(sel, ev, problem.bounds)
     assert ev.evals_used == 2
     # Still a partition of all five.
-    seen_ids = [id(m) for c in clusters for m in c.members]
+    seen_ids = [id(m) for c in clusters for m in c]
     assert sorted(seen_ids) == sorted(id(s) for s in sel)
     assert len(clusters) == 5  # nothing merged on partial evidence
 
@@ -318,7 +304,7 @@ def cluster_assignment(clusters, selection):
     index_of = {id(s): k for k, s in enumerate(selection)}
     assigned = [-1] * len(selection)
     for ci, cluster in enumerate(clusters):
-        for member in cluster.members:
+        for member in cluster:
             assigned[index_of[id(member)]] = ci
     return assigned
 

@@ -8,7 +8,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hillvallea.orchestrator import (DEFAULT_XI, EliteArchive, RestartParams,
+import hillvallea.orchestrator as orchestrator
+from hillvallea.orchestrator import (DEFAULT_XI, RestartParams,
                                      cluster_pop_size, initial_restart_params,
                                      prune_archive, restart_update, run,
                                      update_elite_archive)
@@ -76,91 +77,101 @@ def test_cluster_pop_size():
 def test_empty_archive_always_accepts():
     problem = make_problem(2)
     ev = Evaluator(problem)
-    archive = EliteArchive()
+    elites = []
     (candidate,) = make_solutions(problem, np.array([[0.1]]), start_index=5)
-    update_elite_archive(archive, candidate, ev, problem.bounds)
-    assert len(archive) == 1
-    assert archive.elites[0] is candidate
-    assert archive.accept_feval == [0]  # appended at the current counter
+    update_elite_archive(elites, candidate, ev, problem.bounds)
+    assert len(elites) == 1
+    assert elites[0].x is candidate.x and elites[0].f == candidate.f
+    assert elites[0].eval_index == 0  # stamped with the current counter
     assert ev.evals_used == 0
 
 
 def test_identical_candidate_keeps_the_incumbent():
     problem = make_problem(2)
     ev = Evaluator(problem)
-    archive = EliteArchive()
+    elites = []
     (elite,) = make_solutions(problem, np.array([[0.1]]), start_index=1)
-    update_elite_archive(archive, elite, ev, problem.bounds)
+    update_elite_archive(elites, elite, ev, problem.bounds)
+    incumbent = elites[0]
     twin = Solution(elite.x.copy(), elite.f, 99)
-    update_elite_archive(archive, twin, ev, problem.bounds)
-    assert len(archive) == 1
-    assert archive.elites[0] is elite
+    update_elite_archive(elites, twin, ev, problem.bounds)
+    assert elites == [incumbent]
     assert ev.evals_used == 0  # resolved by the duplicate-distance gate
 
 
 def test_two_separated_peaks_both_archived():
     problem = make_problem(2)
     ev = Evaluator(problem)
-    archive = EliteArchive()
+    elites = []
     first, second = make_solutions(problem, np.array([[0.1], [0.3]]))
-    update_elite_archive(archive, first, ev, problem.bounds)
-    update_elite_archive(archive, second, ev, problem.bounds)
-    assert len(archive) == 2
+    update_elite_archive(elites, first, ev, problem.bounds)
+    update_elite_archive(elites, second, ev, problem.bounds)
+    assert len(elites) == 2
     assert ev.evals_used == 1  # one valley probe at the midpoint
-    assert archive.accept_feval[1] == ev.evals_used
+    assert [e.eval_index for e in elites] == [0, 1]
 
 
 def test_same_niche_replacement_reorders_by_acceptance():
     problem = make_problem(2)
     ev = Evaluator(problem)
-    archive = EliteArchive()
-    off_peak, peak_b = make_solutions(problem, np.array([[0.12], [0.3]]))
-    archive.elites = [off_peak, peak_b]
-    archive.accept_feval = [10, 20]
+    off_peak, peak_b = make_solutions(problem, np.array([[0.12], [0.3]]),
+                                      start_index=10)
+    peak_b.eval_index = 20
+    elites = [off_peak, peak_b]
     (challenger,) = make_solutions(problem, np.array([[0.1]]), start_index=30)
-    update_elite_archive(archive, challenger, ev, problem.bounds)
-    assert len(archive) == 2
+    update_elite_archive(elites, challenger, ev, problem.bounds)
     # The challenger beat its same-niche neighbor (0.12) and re-enters
     # the acceptance order at its own evaluation index.
-    assert archive.accept_feval == [20, 30]
-    assert [float(e.x[0]) for e in archive.elites] == [0.3, 0.1]
+    assert elites == [peak_b, challenger]
+    assert [e.eval_index for e in elites] == [20, 30]
+
+
+def test_replacement_tied_with_an_acceptance_index_keeps_list_order():
+    problem = make_problem(2)
+    ev = Evaluator(problem)
+    off_peak, peak_b, peak_c = make_solutions(
+        problem, np.array([[0.12], [0.3], [0.5]]), start_index=10)
+    peak_b.eval_index, peak_c.eval_index = 20, 25
+    elites = [off_peak, peak_b, peak_c]
+    (challenger,) = make_solutions(problem, np.array([[0.1]]), start_index=20)
+    update_elite_archive(elites, challenger, ev, problem.bounds)
+    # The challenger takes the first slot with peak_b's index; the sort
+    # is stable, so it stays ahead of peak_b.
+    assert elites == [challenger, peak_b, peak_c]
 
 
 def test_losing_same_niche_candidate_changes_nothing():
     problem = bowl_problem(d=1)
     ev = Evaluator(problem)
-    archive = EliteArchive()
+    elites = []
     best, worse = make_solutions(problem, np.array([[0.1], [0.4]]))
-    update_elite_archive(archive, best, ev, problem.bounds)
+    update_elite_archive(elites, best, ev, problem.bounds)
+    incumbent = elites[0]
     before = ev.evals_used
-    update_elite_archive(archive, worse, ev, problem.bounds)
-    assert len(archive) == 1
-    assert archive.elites[0] is best
+    update_elite_archive(elites, worse, ev, problem.bounds)
+    assert elites == [incumbent]
     assert ev.evals_used > before  # a real test ran, same basin won
 
 
 def test_exhausted_budget_leaves_archive_unchanged():
     problem = dataclasses.replace(bowl_problem(d=1), budget=0)
     ev = Evaluator(problem)
-    archive = EliteArchive()
+    elites = []
     near, far = make_solutions(problem, np.array([[0.1], [3.0]]))
-    update_elite_archive(archive, near, ev, problem.bounds)  # empty: free
-    elites, accept_feval = list(archive.elites), list(archive.accept_feval)
-    update_elite_archive(archive, far, ev, problem.bounds)
-    assert archive.elites == elites
-    assert archive.accept_feval == accept_feval
+    update_elite_archive(elites, near, ev, problem.bounds)  # empty: free
+    before = list(elites)
+    update_elite_archive(elites, far, ev, problem.bounds)
+    assert elites == before
+    assert [e.eval_index for e in elites] == [0]
     assert ev.evals_used == 0
 
 
 def test_prune_archive_drops_deep_local_optima():
-    archive = EliteArchive()
-    archive.elites = [Solution(np.array([float(i)]), f, i + 1)
-                      for i, f in enumerate([1.0, 0.9999, 0.5])]
-    archive.accept_feval = [1, 2, 3]
-    prune_archive(archive, tol=1e-3)
-    assert [e.f for e in archive.elites] == [1.0, 0.9999]
-    assert archive.accept_feval == [1, 2]
-    assert archive.best_fitness() == 1.0
+    elites = [Solution(np.array([float(i)]), f, i + 1)
+              for i, f in enumerate([1.0, 0.9999, 0.5])]
+    prune_archive(elites, tol=1e-3)
+    assert [e.f for e in elites] == [1.0, 0.9999]
+    assert [e.eval_index for e in elites] == [1, 2]
 
 
 # --- full runs --------------------------------------------------------------
@@ -168,23 +179,23 @@ def test_prune_archive_drops_deep_local_optima():
 
 def test_zero_budget_run_returns_empty_archive():
     problem = dataclasses.replace(make_problem(1), budget=0)
-    archive, trace = run(problem, seed=0)
-    assert len(archive) == 0
+    elites, trace = run(problem, seed=0)
+    assert elites == []
     assert len(trace) == 0
     assert trace.budget == 0
 
 
 def test_himmelblau_run_finds_all_four_peaks():
     problem = make_problem(4)
-    archive, trace = run(problem, seed=0)
-    assert len(archive) == 4
-    g = count_distinct_global(archive.elites, problem, eps=1e-5)
+    elites, trace = run(problem, seed=0)
+    assert len(elites) == 4
+    g = count_distinct_global(elites, problem, eps=1e-5)
     assert g == 4
     # Acceptance order is strictly increasing and the trace mirrors it.
     fevals = trace.fevals
     assert np.all(np.diff(fevals) > 0)
-    assert list(fevals) == archive.accept_feval
-    for record, elite in zip(trace.records, archive.elites):
+    assert list(fevals) == [e.eval_index for e in elites]
+    for record, elite in zip(trace.records, elites):
         assert record[1] == elite.f
         np.testing.assert_array_equal(record[2], elite.x)
 
@@ -192,31 +203,61 @@ def test_himmelblau_run_finds_all_four_peaks():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_equal_maxima_run_archives_exactly_five(seed):
     problem = make_problem(2)
-    archive, _ = run(problem, seed=seed)
-    assert len(archive) == 5
-    assert count_distinct_global(archive.elites, problem, eps=1e-5) == 5
+    elites, _ = run(problem, seed=seed)
+    assert len(elites) == 5
+    assert count_distinct_global(elites, problem, eps=1e-5) == 5
 
 
 def test_run_is_bit_reproducible():
     problem = dataclasses.replace(make_problem(2), budget=4000)
 
     def snapshot():
-        archive, trace = run(problem, seed=11)
-        return ([list(map(float, e.x)) for e in archive.elites],
-                [e.f for e in archive.elites],
-                list(archive.accept_feval),
+        elites, trace = run(problem, seed=11)
+        return ([list(map(float, e.x)) for e in elites],
+                [e.f for e in elites],
+                [e.eval_index for e in elites],
                 [(int(t), f, list(map(float, x)))
                  for t, f, x in trace.records])
 
     assert snapshot() == snapshot()
 
 
+def test_next_restart_history_labels_each_selected_point_by_its_cluster(
+        monkeypatch):
+    cluster_fn = orchestrator.hill_valley_clustering
+    sample_fn = orchestrator.sample_initial_population
+    partitions, histories = [], []
+
+    def clustering(selection, ev, bounds):
+        clusters = cluster_fn(selection, ev, bounds)
+        partitions.append((selection, clusters))
+        return clusters
+
+    def sampling(n, bounds, history, rng):
+        histories.append(history)
+        return sample_fn(n, bounds, history, rng)
+
+    monkeypatch.setattr(orchestrator, "hill_valley_clustering", clustering)
+    monkeypatch.setattr(orchestrator, "sample_initial_population", sampling)
+    run(dataclasses.replace(make_problem(2), budget=4000), seed=3)
+    # The history each restart samples against is the previous one's.
+    assert len(histories[1:]) >= 2
+    assert any(len(clusters) > 1 for _, clusters in partitions)
+    for (selection, clusters), history in zip(partitions, histories[1:]):
+        label = {id(m): k for k, c in enumerate(clusters) for m in c}
+        by_point = {tuple(x): k for x, k in zip(history.points.tolist(),
+                                                history.labels.tolist())}
+        assert len(history) == len(by_point) == len(selection)
+        for s in selection:
+            assert by_point[tuple(s.x.tolist())] == label[id(s)]
+
+
 def test_run_respects_budget_exactly():
     rec = RecordingProblem(
         dataclasses.replace(make_problem(2), budget=3000))
-    archive, trace = run(rec.problem, seed=4)
+    elites, trace = run(rec.problem, seed=4)
     assert rec.n_evals <= 3000
-    assert len(archive) >= 1
+    assert len(elites) >= 1
     assert np.all(trace.fevals >= 1)
     assert np.all(trace.fevals <= 3000)
 
@@ -225,6 +266,6 @@ def test_run_scaling_modes_complete():
     problem = dataclasses.replace(make_problem(4), budget=4000)
     for mode in ("with-d", "literal"):
         rec = RecordingProblem(problem)
-        archive, _ = run(rec.problem, seed=1, xi_scaling=mode)
+        elites, _ = run(rec.problem, seed=1, xi_scaling=mode)
         assert rec.n_evals <= 4000
-        assert len(archive) >= 1
+        assert len(elites) >= 1
