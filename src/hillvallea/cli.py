@@ -10,9 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import (OUTPUT_FORMATS, ConfigError, ExperimentConfig,
-                      run_experiment)
-from .orchestrator import XI_SCALING_MODES, RestartParams
+from .harness import ConfigError, ExperimentConfig, run_experiment
+from .orchestrator import XI_SCALING_MODES
 from .problems.suite import MissingDataError
 
 
@@ -39,14 +38,6 @@ def parse_problem_ids(text: str) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def parse_xi(text: str) -> RestartParams:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("xi must be four comma-separated values")
-    return RestartParams(n=int(parts[0]), n_inc=float(parts[1]),
-                         n_c=float(parts[2]), n_c_inc=float(parts[3]))
-
-
 def parse_budget_override(text: str) -> tuple[int, int]:
     pid, _, budget = text.partition("=")
     if not budget:
@@ -57,10 +48,10 @@ def parse_budget_override(text: str) -> tuple[int, int]:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hillvallea-bench",
-        description="Run the multimodal benchmark suite and emit score tables.")
+        description="Run the multimodal benchmark suite and write a CSV "
+                    "score table.")
     # A dataclass keeps each field's default as a class attribute.
     defaults = ExperimentConfig
-    xi = defaults.xi
     parser.add_argument("--problems", default="1-20",
                         help="problem ids, e.g. '1-20' or '2,6,11' "
                              "(default %(default)s)")
@@ -74,14 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: packaged data)")
     parser.add_argument("--out", type=Path, default=defaults.out_dir,
                         help="output directory (default %(default)s)")
-    parser.add_argument("--format", choices=OUTPUT_FORMATS,
-                        default=defaults.fmt,
-                        help="score table format (default %(default)s)")
     parser.add_argument("--jobs", type=int, default=defaults.jobs,
                         help="parallel worker processes (default %(default)s)")
-    parser.add_argument("--xi", default=None, metavar="N,NINC,NC,NCINC",
-                        help="restart parameters (default "
-                             f"{xi.n},{xi.n_inc:g},{xi.n_c:g},{xi.n_c_inc:g})")
     parser.add_argument("--xi-scaling", choices=XI_SCALING_MODES,
                         default=defaults.xi_scaling,
                         help="scale the base population size by the problem "
@@ -103,11 +88,9 @@ def main(argv: list[str] | None = None) -> int:
             problems=parse_problem_ids(args.problems),
             runs=args.runs,
             seed=args.seed,
-            xi=parse_xi(args.xi) if args.xi else ExperimentConfig.xi,
             xi_scaling=args.xi_scaling,
             data_dir=args.data_dir,
             out_dir=args.out,
-            fmt=args.format,
             jobs=args.jobs,
             budget_overrides=dict(parse_budget_override(s)
                                   for s in args.budget_override),

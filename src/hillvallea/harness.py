@@ -1,4 +1,4 @@
-"""Seeded repeated-run experiment driver with score-table emission.
+"""Seeded repeated-run experiment driver with a CSV score table.
 
 Run r of problem p always receives seed base_seed + r, regardless of
 execution order or worker count, so identical configurations produce
@@ -9,7 +9,6 @@ can be recomputed offline without re-optimizing.
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,14 +16,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .orchestrator import (DEFAULT_XI, RestartParams, RunTrace,
-                           XI_SCALING_MODES, run)
+from .orchestrator import DEFAULT_XI, XI_SCALING_MODES, run
+from .problems.evaluator import Solution
 from .problems.suite import PROBLEM_IDS, Problem, make_problem
 from .scoring import (ACCURACY_LEVELS, LevelScores, ScoreReport, aggregate,
                       score_run)
 
 SCENARIOS = ("S1", "S2", "S3")
-OUTPUT_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -36,11 +34,9 @@ class ExperimentConfig:
     problems: tuple[int, ...]
     runs: int = 50
     seed: int = 0
-    xi: RestartParams = DEFAULT_XI
     xi_scaling: str = "with-d"
     data_dir: Path | None = None
     out_dir: Path = Path("bench-results")
-    fmt: str = "csv"
     jobs: int = 1
     budget_overrides: Mapping[int, int] = field(default_factory=dict)
     write_traces: bool = True
@@ -61,8 +57,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"invalid problem ids: {bad}")
     if cfg.runs < 1:
         raise ConfigError("runs must be at least 1")
-    if cfg.fmt not in OUTPUT_FORMATS:
-        raise ConfigError(f"unknown output format {cfg.fmt!r}")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be at least 1")
     if cfg.xi_scaling not in XI_SCALING_MODES:
@@ -83,22 +79,25 @@ def _load_problems(cfg: ExperimentConfig) -> dict[int, Problem]:
     return problems
 
 
-def write_trace_csv(trace: RunTrace, d: int, path: Path) -> None:
+def write_trace_csv(elites: list[Solution], d: int, path: Path) -> None:
+    """One line per elite, in acceptance order: its acceptance index,
+    fitness and position."""
     header = "feval,fitness," + ",".join(f"x{i}" for i in range(d))
     lines = [header]
-    for feval, fitness, x in trace.records:
-        coords = ",".join(f"{c:.17g}" for c in x)
-        lines.append(f"{feval},{fitness:.17g},{coords}")
+    for e in elites:
+        coords = ",".join(f"{c:.17g}" for c in e.x)
+        lines.append(f"{e.eval_index},{e.f:.17g},{coords}")
     path.write_text("\n".join(lines) + "\n")
 
 
 def _execute_run(task) -> tuple[int, int, list[LevelScores] | None, str | None]:
-    problem, run_index, seed, xi, xi_scaling, trace_path = task
+    problem, run_index, seed, xi_scaling, trace_path = task
     try:
-        _, trace = run(problem, xi, seed, xi_scaling=xi_scaling)
+        # The traced benchmark pass reads the seed as the third argument.
+        elites = run(problem, DEFAULT_XI, seed, xi_scaling=xi_scaling)
         if trace_path is not None:
-            write_trace_csv(trace, problem.d, trace_path)
-        return problem.id, run_index, score_run(trace, problem), None
+            write_trace_csv(elites, problem.d, trace_path)
+        return problem.id, run_index, score_run(elites, problem), None
     except Exception as exc:  # a failed run must not sink the experiment
         return problem.id, run_index, None, f"{type(exc).__name__}: {exc}"
 
@@ -110,18 +109,19 @@ def run_experiment(cfg: ExperimentConfig,
 
     out_dir = Path(cfg.out_dir)
     trace_dir = out_dir / "traces"
-    if cfg.write_traces:
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    else:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        (trace_dir if cfg.write_traces else out_dir).mkdir(parents=True,
+                                                           exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output to {out_dir}: {exc}") from exc
 
     tasks = []
     for pid in sorted(problems):
         for r in range(cfg.runs):
             trace_path = (trace_dir / f"p{pid:02d}_run{r:03d}.csv"
                           if cfg.write_traces else None)
-            tasks.append((problems[pid], r, cfg.seed + r, cfg.xi,
-                          cfg.xi_scaling, trace_path))
+            tasks.append((problems[pid], r, cfg.seed + r, cfg.xi_scaling,
+                          trace_path))
 
     if cfg.jobs == 1:
         results = [_execute_run(t) for t in tasks]
@@ -139,7 +139,7 @@ def run_experiment(cfg: ExperimentConfig,
             failures.append(RunFailure(pid, run_index, error))
     report = (aggregate(scored) if scored
               else ScoreReport(problems=()))
-    emit_tables(report, out_dir, cfg.fmt)
+    emit_tables(report, out_dir)
     return report, failures
 
 
@@ -147,61 +147,33 @@ def _scenario_levels(p, scenario: str) -> tuple[float, ...]:
     return {"S1": p.pr, "S2": p.f1, "S3": p.dyn_f1}[scenario]
 
 
-def emit_tables(report: ScoreReport, out_dir: Path | str,
-                fmt: str = "csv") -> Path:
-    """One table row per (problem, scenario) with the per-level scores
-    and their mean, plus an 'avg' summary row per scenario."""
+def emit_tables(report: ScoreReport, out_dir: Path | str) -> Path:
+    """Write scores.csv: one row per (problem, scenario) with the
+    per-level scores and their mean, plus an 'avg' summary row per
+    scenario."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if fmt == "csv":
-        cols = ["problem", "scenario", "accuracy_mean_score"]
-        cols += [f"score_eps_{eps:.0e}" for eps in ACCURACY_LEVELS]
-        lines = [",".join(cols)]
-        for p in report.problems:
-            for scenario in SCENARIOS:
-                per_level = _scenario_levels(p, scenario)
-                mean = float(np.mean(per_level))
-                row = [str(p.problem_id), scenario, f"{mean:.17g}"]
-                row += [f"{v:.17g}" for v in per_level]
-                lines.append(",".join(row))
-        if report.problems:
-            for scenario, grand in zip(
-                    SCENARIOS,
-                    (report.grand_s1, report.grand_s2, report.grand_s3)):
-                by_level = [
-                    float(np.mean([_scenario_levels(p, scenario)[k]
-                                   for p in report.problems]))
-                    for k in range(len(ACCURACY_LEVELS))]
-                lines.append(",".join(
-                    ["avg", scenario, f"{grand:.17g}"]
-                    + [f"{v:.17g}" for v in by_level]))
-        path = out_dir / "scores.csv"
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    if fmt != "json":
-        raise ConfigError(f"unknown output format {fmt!r}")
-    tree = {
-        "n_runs": {str(p.problem_id): p.n_runs for p in report.problems},
-        "levels": list(ACCURACY_LEVELS),
-        "problems": [
-            {
-                "id": p.problem_id,
-                "scenarios": {
-                    scenario: {
-                        "mean": float(np.mean(_scenario_levels(p, scenario))),
-                        "per_level": list(_scenario_levels(p, scenario)),
-                    }
-                    for scenario in SCENARIOS
-                },
-                "sr_per_level": list(p.sr),
-            }
-            for p in report.problems
-        ],
-        "avg": {"S1": report.grand_s1, "S2": report.grand_s2,
-                "S3": report.grand_s3} if report.problems else {},
-    }
-    path = out_dir / "scores.json"
-    path.write_text(json.dumps(tree, indent=2) + "\n")
+    cols = ["problem", "scenario", "accuracy_mean_score"]
+    cols += [f"score_eps_{eps:.0e}" for eps in ACCURACY_LEVELS]
+    lines = [",".join(cols)]
+    for p in report.problems:
+        for scenario in SCENARIOS:
+            per_level = _scenario_levels(p, scenario)
+            mean = float(np.mean(per_level))
+            row = [str(p.problem_id), scenario, f"{mean:.17g}"]
+            row += [f"{v:.17g}" for v in per_level]
+            lines.append(",".join(row))
+    if report.problems:
+        for scenario, grand in zip(
+                SCENARIOS,
+                (report.grand_s1, report.grand_s2, report.grand_s3)):
+            by_level = [
+                float(np.mean([_scenario_levels(p, scenario)[k]
+                               for p in report.problems]))
+                for k in range(len(ACCURACY_LEVELS))]
+            lines.append(",".join(
+                ["avg", scenario, f"{grand:.17g}"]
+                + [f"{v:.17g}" for v in by_level]))
+    path = out_dir / "scores.csv"
+    path.write_text("\n".join(lines) + "\n")
     return path

@@ -121,31 +121,11 @@ def prune_archive(elites: list[Solution], tol: float) -> None:
         elites[:] = [e for e in elites if e.f >= cutoff]
 
 
-@dataclass(eq=False)
-class RunTrace:
-    """(feval_index, fitness, position) per accepted elite, in
-    acceptance order, plus the run's budget."""
-
-    records: list[tuple[int, float, np.ndarray]]
-    budget: int
-
-    @property
-    def fevals(self) -> np.ndarray:
-        return np.array([r[0] for r in self.records], dtype=int)
-
-    @property
-    def fitness(self) -> np.ndarray:
-        return np.array([r[1] for r in self.records])
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
-        *, xi_scaling: str = "with-d") -> tuple[list[Solution], RunTrace]:
+        *, xi_scaling: str = "with-d") -> list[Solution]:
     """Optimize until the budget runs out. Returns the elites in
-    acceptance order, each with its acceptance index as eval_index, and
-    the trace of the same."""
+    acceptance order, each with its acceptance index as eval_index:
+    the run's record for scoring and for its trace file."""
     rng = np.random.default_rng(seed)
     ev = Evaluator(problem)
     bounds = problem.bounds
@@ -179,6 +159,4 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
         p = restart_update(p)
 
     prune_archive(elites, ELITE_PRUNE_TOL)
-    trace = RunTrace([(e.eval_index, e.f, e.x) for e in elites],
-                     problem.budget)
-    return elites, trace
+    return elites

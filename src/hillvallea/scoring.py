@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .orchestrator import RunTrace
 from .problems.evaluator import Solution
 from .problems.suite import InvalidProblemError, Problem
 
@@ -24,7 +23,8 @@ ACCURACY_LEVELS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
 
 class InvalidTraceError(ValueError):
-    """Raised when trace records are not in evaluation order."""
+    """Raised when a run's solutions are not in evaluation order or lie
+    outside its budget."""
 
 
 def count_distinct_global(solutions: Sequence[Solution], problem: Problem,
@@ -93,27 +93,30 @@ def f1(pr: float, sr: float) -> float:
     return 2.0 * pr * sr / (pr + sr)
 
 
-def dyn_f1(trace: RunTrace, problem: Problem, eps: float) -> float:
-    """Time-weighted F1: each obtained solution set is credited for the
+def dyn_f1(solutions: Sequence[Solution], problem: Problem,
+           eps: float) -> float:
+    """Time-weighted F1 of a run's solutions, given in acceptance order
+    with the evaluation index at which each was found as eval_index,
+    over problem.budget. Each obtained solution set is credited for the
     span of evaluations during which it was the current set, the full
     set for the span from its completion to the budget's end. The span
     before the first solution earns nothing.
 
     Each prefix is counted as count_distinct_global counts it: a
     solution's claimable optima do not depend on the prefix, and a
-    prefix's fittest-first order is the whole trace's stable order
+    prefix's fittest-first order is the whole list's stable order
     restricted to it, so both are worked out once."""
-    t = len(trace)
+    t = len(solutions)
     if t == 0:
         return 0.0
-    fevals = trace.fevals
-    budget = trace.budget
+    fevals = np.array([s.eval_index for s in solutions], dtype=int)
+    budget = problem.budget
     if np.any(np.diff(fevals) <= 0):
-        raise InvalidTraceError("trace records must be strictly feval-ascending")
+        raise InvalidTraceError("eval_index must strictly ascend")
     if fevals[0] < 1 or fevals[-1] > budget:
-        raise InvalidTraceError("trace records must lie within the run budget")
-    fs = trace.fitness
-    claims = _claimable_optima(fs, np.array([r[2] for r in trace.records]),
+        raise InvalidTraceError("solutions must lie within the run budget")
+    fs = np.array([s.f for s in solutions])
+    claims = _claimable_optima(fs, np.array([s.x for s in solutions]),
                                problem, eps)
     claimers = [i for i in np.argsort(-fs, kind="stable").tolist()
                 if claims[i]]
@@ -140,15 +143,17 @@ class LevelScores:
     dyn_f1: float
 
 
-def score_run(trace: RunTrace, problem: Problem) -> list[LevelScores]:
-    solutions = [Solution(x, fit, int(fe)) for (fe, fit, x) in trace.records]
+def score_run(solutions: Sequence[Solution],
+              problem: Problem) -> list[LevelScores]:
+    """Score one run's elites, as run returns them, at every accuracy
+    level."""
     out = []
     for eps in ACCURACY_LEVELS:
         g = count_distinct_global(solutions, problem, eps)
         pr = peak_ratio(g, problem.n_global_optima)
         sr = success_rate(g, len(solutions))
         out.append(LevelScores(eps=eps, g=g, pr=pr, sr=sr, f1=f1(pr, sr),
-                               dyn_f1=dyn_f1(trace, problem, eps)))
+                               dyn_f1=dyn_f1(solutions, problem, eps)))
     return out
 
 

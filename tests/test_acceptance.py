@@ -25,7 +25,7 @@ from hillvallea.cli import build_parser, parse_problem_ids
 from hillvallea.harness import ExperimentConfig
 from hillvallea.hillvalley import (expected_edge_length,
                                    hill_valley_clustering, hill_valley_test)
-from hillvallea.orchestrator import RestartParams, RunTrace, run
+from hillvallea.orchestrator import RestartParams, run
 from hillvallea.problems.evaluator import Evaluator, Solution
 from hillvallea.problems.suite import MissingDataError, make_problem
 from hillvallea.sampling import greedy_scattered_subset
@@ -46,7 +46,7 @@ COMPOSITION_PIDS = (11, 12)
 @dataclass
 class DeskGroup:
     problem: object
-    traces: list[RunTrace]
+    runs: list[list[Solution]]  # each run's elites
     scores: list[list[LevelScores]]  # one list per run
     elapsed: float
 
@@ -54,12 +54,12 @@ class DeskGroup:
 def _sweep(pid: int) -> DeskGroup:
     problem = make_problem(pid)
     t0 = time.perf_counter()
-    traces, scores = [], []
+    runs, scores = [], []
     for seed in range(N_RUNS):
-        _, trace = run(problem, seed=seed)
-        traces.append(trace)
-        scores.append(score_run(trace, problem))
-    return DeskGroup(problem, traces, scores, time.perf_counter() - t0)
+        elites = run(problem, seed=seed)
+        runs.append(elites)
+        scores.append(score_run(elites, problem))
+    return DeskGroup(problem, runs, scores, time.perf_counter() - t0)
 
 
 def _s1(group: DeskGroup) -> float:
@@ -154,8 +154,7 @@ def test_criterion_4_composition_problems(composition_desk):
 # --- criterion 5: dynamic F1 sanity on every completed run ------------------
 
 
-def _prefix_f1_curve(trace: RunTrace, problem, eps) -> list[float]:
-    sols = [Solution(x, fit, int(fe)) for fe, fit, x in trace.records]
+def _prefix_f1_curve(sols: list[Solution], problem, eps) -> list[float]:
     curve = []
     for i in range(1, len(sols) + 1):
         g = count_distinct_global(sols[:i], problem, eps)
@@ -169,10 +168,10 @@ def test_criterion_5_dynamic_f1_bounded_by_final_f1(desk, composition_desk):
     groups.update(composition_desk[0])
     checked = 0
     for pid, group in groups.items():
-        for trace, run_scores in zip(group.traces, group.scores):
+        for elites, run_scores in zip(group.runs, group.scores):
             for ls in run_scores:
                 assert 0.0 <= ls.dyn_f1 <= 1.0
-                curve = _prefix_f1_curve(trace, group.problem, ls.eps)
+                curve = _prefix_f1_curve(elites, group.problem, ls.eps)
                 if all(a <= b for a, b in zip(curve, curve[1:])):
                     checked += 1
                     assert ls.dyn_f1 <= ls.f1 + 1e-12, \
@@ -337,20 +336,19 @@ def test_criterion_6_greedy_subset_within_two_of_exhaustive():
             assert got >= best / 2.0 - 1e-9
 
 
-def _integrated_f1(trace: RunTrace, problem, eps: float) -> float:
+def _integrated_f1(sols: list[Solution], problem, eps: float) -> float:
     """Independent oracle: sample the piecewise-constant prefix-F1 curve
     at the midpoint of every unit evaluation interval and average."""
-    fevals = np.array([r[0] for r in trace.records])
-    sols = [Solution(x, fit, int(fe)) for fe, fit, x in trace.records]
+    fevals = np.array([s.eval_index for s in sols])
     curve = [0.0]
     for i in range(1, len(sols) + 1):
         g = count_distinct_global(sols[:i], problem, eps)
         curve.append(f1(peak_ratio(g, problem.n_global_optima),
                         success_rate(g, i)))
     curve = np.array(curve)
-    mids = np.arange(trace.budget) + 0.5
+    mids = np.arange(problem.budget) + 0.5
     idx = np.searchsorted(fevals, mids)
-    return math.fsum(curve[idx]) / trace.budget
+    return math.fsum(curve[idx]) / problem.budget
 
 
 def test_criterion_6_dynamic_f1_matches_independent_integrator():
@@ -365,20 +363,19 @@ def test_criterion_6_dynamic_f1_matches_independent_integrator():
         t = int(rng.integers(1, min(budget, 12) + 1))
         fevals = np.sort(rng.choice(np.arange(1, budget + 1), size=t,
                                     replace=False))
-        records = []
+        sols = []
         for fe in fevals:
             opt = float(rng.integers(0, n_opt))
             kind = rng.random()
             if kind < 0.6:
-                records.append((int(fe), 1.0, np.array([opt])))
+                sols.append(Solution(np.array([opt]), 1.0, int(fe)))
             elif kind < 0.8:  # right fitness, too far from any optimum
-                records.append((int(fe), 1.0, np.array([opt + 0.5])))
+                sols.append(Solution(np.array([opt + 0.5]), 1.0, int(fe)))
             else:             # right position, fitness outside every level
-                records.append((int(fe), 0.3, np.array([opt])))
-        trace = RunTrace(records=records, budget=budget)
+                sols.append(Solution(np.array([opt]), 0.3, int(fe)))
         for eps in (1e-1, 1e-3):
-            expected = _integrated_f1(trace, problem, eps)
-            assert abs(dyn_f1(trace, problem, eps) - expected) <= 1e-12
+            expected = _integrated_f1(sols, problem, eps)
+            assert abs(dyn_f1(sols, problem, eps) - expected) <= 1e-12
 
 
 def test_criterion_6_fuzzed_runs_never_exceed_budget():
@@ -400,11 +397,10 @@ def test_criterion_6_fuzzed_runs_never_exceed_budget():
             return inner(xs)
 
         counted = dataclasses.replace(problem, fn=counting)
-        _, trace = run(counted, xi, int(rng.integers(0, 10_000)))
+        elites = run(counted, xi, int(rng.integers(0, 10_000)))
         assert counter["n"] <= budget, \
             f"problem {pid} budget {budget}: spent {counter['n']}"
-        if len(trace):
-            assert trace.fevals[-1] <= budget
+        assert all(e.eval_index <= budget for e in elites)
 
 
 # --- criterion 7: full-scale target documented, not executed ----------------

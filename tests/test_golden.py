@@ -1,9 +1,11 @@
 """Golden traces: seed-0 runs of the easy problems must reproduce the
 committed fingerprints bit for bit.
 
-A fingerprint holds a SHA-256 of the run's trace records, a SHA-256 of
-every point the run evaluated (in call order), the evaluation count and
-a SHA-256 of the run's scores at every accuracy level.
+A fingerprint holds a SHA-256 of the elites the run returns (each
+one's acceptance index, fitness and position, in acceptance order: the
+rows of its trace file), a SHA-256 of every point the run evaluated (in
+call order), the evaluation count and a SHA-256 of the run's scores at
+every accuracy level.
 The covered problems are at most three-dimensional, so no step of these
 runs goes through BLAS; the hashes are still only guaranteed on one
 platform (numpy build and CPU). Regenerate with
@@ -51,18 +53,18 @@ def fingerprint(pid: int, seed: int = 0) -> dict:
         count[0] += len(xs)
         return inner(xs)
 
-    _, trace = run(dataclasses.replace(problem, fn=recording), seed=seed)
+    elites = run(dataclasses.replace(problem, fn=recording), seed=seed)
     records = hashlib.sha256()
-    for feval, fitness, x in trace.records:
-        records.update(np.int64(feval).tobytes())
-        records.update(np.float64(fitness).tobytes())
-        records.update(np.ascontiguousarray(x, dtype=float).tobytes())
+    for e in elites:
+        records.update(np.int64(e.eval_index).tobytes())
+        records.update(np.float64(e.f).tobytes())
+        records.update(np.ascontiguousarray(e.x, dtype=float).tobytes())
     scores = hashlib.sha256()
-    for ls in score_run(trace, problem):
+    for ls in score_run(elites, problem):
         scores.update(np.int64(ls.g).tobytes())
         for value in (ls.pr, ls.sr, ls.f1, ls.dyn_f1):
             scores.update(np.float64(value).tobytes())
-    return {"n_records": len(trace),
+    return {"n_records": len(elites),
             "records_sha256": records.hexdigest(),
             "evaluations": count[0],
             "evaluated_points_sha256": stream.hexdigest(),

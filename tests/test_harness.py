@@ -1,10 +1,9 @@
-"""Experiment harness: configuration validation, trace files, score
-tables in both formats, failure capture, and the command-line runner."""
+"""Experiment harness: configuration validation, trace files, the score
+table, failure capture, and the command-line runner."""
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +11,14 @@ import pytest
 
 import hillvallea.harness as harness
 from hillvallea.cli import (build_parser, main, parse_budget_override,
-                            parse_problem_ids, parse_xi)
+                            parse_problem_ids)
 from hillvallea.harness import (ConfigError, ExperimentConfig, RunFailure,
                                 emit_tables, run_experiment, write_trace_csv)
-from hillvallea.orchestrator import DEFAULT_XI, RunTrace, run
+from hillvallea.orchestrator import run
+from hillvallea.problems.evaluator import Solution
 from hillvallea.problems.suite import make_problem
 from hillvallea.scoring import (ACCURACY_LEVELS, LevelScores, ScoreReport,
-                                aggregate)
+                                aggregate, score_run)
 
 
 # --- configuration ----------------------------------------------------------
@@ -26,8 +26,8 @@ from hillvallea.scoring import (ACCURACY_LEVELS, LevelScores, ScoreReport,
 
 def test_config_defaults():
     cfg = ExperimentConfig(problems=(1,))
-    assert cfg.runs == 50 and cfg.seed == 0 and cfg.xi == DEFAULT_XI
-    assert cfg.xi_scaling == "with-d" and cfg.fmt == "csv" and cfg.jobs == 1
+    assert cfg.runs == 50 and cfg.seed == 0
+    assert cfg.xi_scaling == "with-d" and cfg.jobs == 1
     assert cfg.write_traces and cfg.out_dir == Path("bench-results")
 
 
@@ -36,16 +36,33 @@ def test_config_defaults():
     dict(problems=(0,)),
     dict(problems=(1, 21)),
     dict(problems=(2,), runs=0),
-    dict(problems=(2,), fmt="xml"),
     dict(problems=(2,), jobs=0),
     dict(problems=(2,), xi_scaling="banana"),
     dict(problems=(2,), budget_overrides={2: -5}),
     dict(problems=(2,), budget_overrides={99: 100}),
+    dict(problems=(2,), runs=1, seed=-1),
 ])
 def test_invalid_configs_are_rejected(kwargs, tmp_path):
     cfg = ExperimentConfig(out_dir=tmp_path, **kwargs)
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("write_traces", [True, False])
+def test_output_path_naming_a_file_is_a_configuration_error(
+        write_traces, tmp_path, capsys):
+    out = tmp_path / "results"
+    out.write_text("a file, not a directory\n")
+    cfg = ExperimentConfig(problems=(2,), runs=1, out_dir=out,
+                           write_traces=write_traces)
+    with pytest.raises(ConfigError) as excinfo:
+        run_experiment(cfg)
+    assert str(out) in str(excinfo.value)
+    argv = ["--problems", "2", "--runs", "1", "--out", str(out)]
+    code = main(argv if write_traces else argv + ["--no-traces"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(out) in err
 
 
 # --- end-to-end experiments -------------------------------------------------
@@ -108,7 +125,7 @@ def test_failed_runs_are_reported_not_fatal(tmp_path, monkeypatch):
             raise RuntimeError("boom")
         x = np.array([0.1])
         f = float(problem.fn(x[None, :])[0])
-        return None, RunTrace(records=[(1, f, x)], budget=problem.budget)
+        return [Solution(x, f, 1)]
 
     monkeypatch.setattr(harness, "run", flaky_run)
     cfg = ExperimentConfig(problems=(2,), runs=2, seed=0, out_dir=tmp_path)
@@ -136,18 +153,36 @@ def test_all_runs_failing_yields_empty_report(tmp_path, monkeypatch):
 
 def test_trace_csv_round_trips_exactly(tmp_path):
     problem = dataclasses.replace(make_problem(4), budget=3000)
-    _, trace = run(problem, seed=2)
-    assert len(trace) >= 1
+    elites = run(problem, seed=2)
+    assert len(elites) >= 1
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, problem.d, path)
+    write_trace_csv(elites, problem.d, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "feval,fitness,x0,x1"
-    assert len(lines) == 1 + len(trace)
-    for line, (feval, fitness, x) in zip(lines[1:], trace.records):
+    assert len(lines) == 1 + len(elites)
+    for line, e in zip(lines[1:], elites):
         cells = line.split(",")
-        assert int(cells[0]) == feval
-        assert float(cells[1]) == fitness      # %.17g is lossless
-        assert [float(c) for c in cells[2:]] == [float(v) for v in x]
+        assert int(cells[0]) == e.eval_index
+        assert float(cells[1]) == e.f      # %.17g is lossless
+        assert [float(c) for c in cells[2:]] == [float(v) for v in e.x]
+
+
+def test_trace_files_rescore_to_the_table(tmp_path):
+    # S3 is scored against the overridden budget, which an offline
+    # re-score must take from the same place.
+    cfg = ExperimentConfig(problems=(4,), runs=2, seed=1, out_dir=tmp_path,
+                           budget_overrides={4: 3000})
+    report, failures = run_experiment(cfg)
+    assert failures == []
+    problem = dataclasses.replace(make_problem(4), budget=3000)
+    runs = []
+    for r in range(2):
+        path = tmp_path / "traces" / f"p04_run{r:03d}.csv"
+        cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        elites = [Solution(np.array([float(v) for v in c[2:]]), float(c[1]),
+                           int(c[0])) for c in cells]
+        runs.append(score_run(elites, problem))
+    assert aggregate({4: runs}) == report
 
 
 # --- score tables -----------------------------------------------------------
@@ -167,7 +202,7 @@ def constant_report(pids, pr, f1v, dyn):
 
 def test_csv_table_layout_single_problem(tmp_path):
     report = constant_report([5], pr=0.25, f1v=0.5, dyn=0.125)
-    path = emit_tables(report, tmp_path, "csv")
+    path = emit_tables(report, tmp_path)
     assert path == tmp_path / "scores.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == ("problem,scenario,accuracy_mean_score,"
@@ -186,10 +221,8 @@ def test_csv_table_layout_single_problem(tmp_path):
 
 def test_csv_cells_round_trip_report_values(tmp_path):
     problem = dataclasses.replace(make_problem(2), budget=3000)
-    _, trace = run(problem, seed=5)
-    from hillvallea.scoring import score_run
-    report = aggregate({2: [score_run(trace, problem)]})
-    path = emit_tables(report, tmp_path, "csv")
+    report = aggregate({2: [score_run(run(problem, seed=5), problem)]})
+    path = emit_tables(report, tmp_path)
     rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
     p = report.problems[0]
     for row, values in zip(rows[:3], (p.pr, p.f1, p.dyn_f1)):
@@ -199,7 +232,7 @@ def test_csv_cells_round_trip_report_values(tmp_path):
 
 def test_all_ones_report_averages_to_one(tmp_path):
     report = constant_report([1, 2, 3], pr=1.0, f1v=1.0, dyn=1.0)
-    path = emit_tables(report, tmp_path, "csv")
+    path = emit_tables(report, tmp_path)
     for row in path.read_text().splitlines()[-3:]:
         cells = row.split(",")
         assert cells[0] == "avg"
@@ -208,36 +241,17 @@ def test_all_ones_report_averages_to_one(tmp_path):
 
 def test_twenty_problem_summary_row(tmp_path):
     report = constant_report(range(1, 21), pr=0.892, f1v=0.934, dyn=0.883)
-    path = emit_tables(report, tmp_path, "csv")
+    path = emit_tables(report, tmp_path)
     avg = [r.split(",") for r in path.read_text().splitlines()[-3:]]
     assert float(avg[0][2]) == pytest.approx(0.892, abs=1e-12)
     assert float(avg[1][2]) == pytest.approx(0.934, abs=1e-12)
     assert float(avg[2][2]) == pytest.approx(0.883, abs=1e-12)
 
 
-def test_json_table_structure(tmp_path):
-    report = constant_report([5, 7], pr=0.5, f1v=0.25, dyn=0.75)
-    path = emit_tables(report, tmp_path, "json")
-    assert path == tmp_path / "scores.json"
-    tree = json.loads(path.read_text())
-    assert tree["levels"] == list(ACCURACY_LEVELS)
-    assert tree["n_runs"] == {"5": 1, "7": 1}
-    assert [p["id"] for p in tree["problems"]] == [5, 7]
-    first = tree["problems"][0]
-    assert first["scenarios"]["S1"]["mean"] == 0.5
-    assert first["scenarios"]["S1"]["per_level"] == [0.5] * 5
-    assert first["scenarios"]["S2"]["mean"] == 0.25
-    assert first["scenarios"]["S3"]["mean"] == 0.75
-    assert first["sr_per_level"] == [1.0] * 5
-    assert tree["avg"] == {"S1": 0.5, "S2": 0.25, "S3": 0.75}
-
-
 def test_empty_report_emits_header_only(tmp_path):
     report = ScoreReport(problems=())
-    path = emit_tables(report, tmp_path, "csv")
+    path = emit_tables(report, tmp_path)
     assert len(path.read_text().splitlines()) == 1
-    tree = json.loads(emit_tables(report, tmp_path, "json").read_text())
-    assert tree["problems"] == [] and tree["avg"] == {}
 
 
 # --- command line -----------------------------------------------------------
@@ -253,15 +267,6 @@ def test_parse_problem_ids():
             parse_problem_ids(bad)
 
 
-def test_parse_xi():
-    params = parse_xi("64,2,0.8,1.1")
-    assert params == DEFAULT_XI
-    with pytest.raises(ValueError):
-        parse_xi("64,2,0.8")
-    with pytest.raises(ValueError):
-        parse_xi("64,2,0.8,1.1,9")
-
-
 def test_parse_budget_override():
     assert parse_budget_override("3=5000") == (3, 5000)
     with pytest.raises(ValueError):
@@ -274,8 +279,7 @@ def test_parser_defaults():
     args = build_parser().parse_args([])
     assert args.problems == "1-20" and args.runs == 50 and args.seed == 0
     assert args.data_dir is None and args.out == Path("bench-results")
-    assert args.format == "csv" and args.jobs == 1
-    assert args.xi is None and args.xi_scaling == "with-d"
+    assert args.jobs == 1 and args.xi_scaling == "with-d"
     assert args.budget_override == [] and not args.no_traces
 
 
@@ -290,12 +294,11 @@ def test_cli_success_exit_zero(tmp_path, capsys):
     assert (tmp_path / "traces" / "p02_run000.csv").exists()
 
 
-def test_cli_json_and_no_traces(tmp_path):
+def test_cli_no_traces(tmp_path):
     code = main(["--problems", "2", "--runs", "1", "--out", str(tmp_path),
-                 "--format", "json", "--no-traces",
-                 "--budget-override", "2=2000"])
+                 "--no-traces", "--budget-override", "2=2000"])
     assert code == 0
-    assert (tmp_path / "scores.json").exists()
+    assert (tmp_path / "scores.csv").exists()
     assert not (tmp_path / "traces").exists()
 
 
@@ -303,11 +306,10 @@ def test_cli_json_and_no_traces(tmp_path):
     ["--problems", ""],
     ["--problems", "99"],
     ["--runs", "0"],
-    ["--format", "xml"],
-    ["--xi", "64,2"],
     ["--budget-override", "2"],
     ["--xi-scaling", "sideways"],
     ["--problems", "2,9-7"],
+    ["--problems", "2", "--runs", "1", "--seed", "-1"],
 ])
 def test_cli_configuration_errors_exit_one(argv, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path)])

@@ -179,31 +179,23 @@ def test_prune_archive_drops_deep_local_optima():
 
 def test_zero_budget_run_returns_empty_archive():
     problem = dataclasses.replace(make_problem(1), budget=0)
-    elites, trace = run(problem, seed=0)
-    assert elites == []
-    assert len(trace) == 0
-    assert trace.budget == 0
+    assert run(problem, seed=0) == []
 
 
 def test_himmelblau_run_finds_all_four_peaks():
     problem = make_problem(4)
-    elites, trace = run(problem, seed=0)
+    elites = run(problem, seed=0)
     assert len(elites) == 4
     g = count_distinct_global(elites, problem, eps=1e-5)
     assert g == 4
-    # Acceptance order is strictly increasing and the trace mirrors it.
-    fevals = trace.fevals
-    assert np.all(np.diff(fevals) > 0)
-    assert list(fevals) == [e.eval_index for e in elites]
-    for record, elite in zip(trace.records, elites):
-        assert record[1] == elite.f
-        np.testing.assert_array_equal(record[2], elite.x)
+    # Acceptance order is strictly increasing.
+    assert np.all(np.diff([e.eval_index for e in elites]) > 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_equal_maxima_run_archives_exactly_five(seed):
     problem = make_problem(2)
-    elites, _ = run(problem, seed=seed)
+    elites = run(problem, seed=seed)
     assert len(elites) == 5
     assert count_distinct_global(elites, problem, eps=1e-5) == 5
 
@@ -212,12 +204,10 @@ def test_run_is_bit_reproducible():
     problem = dataclasses.replace(make_problem(2), budget=4000)
 
     def snapshot():
-        elites, trace = run(problem, seed=11)
+        elites = run(problem, seed=11)
         return ([list(map(float, e.x)) for e in elites],
                 [e.f for e in elites],
-                [e.eval_index for e in elites],
-                [(int(t), f, list(map(float, x)))
-                 for t, f, x in trace.records])
+                [e.eval_index for e in elites])
 
     assert snapshot() == snapshot()
 
@@ -255,17 +245,16 @@ def test_next_restart_history_labels_each_selected_point_by_its_cluster(
 def test_run_respects_budget_exactly():
     rec = RecordingProblem(
         dataclasses.replace(make_problem(2), budget=3000))
-    elites, trace = run(rec.problem, seed=4)
+    elites = run(rec.problem, seed=4)
     assert rec.n_evals <= 3000
     assert len(elites) >= 1
-    assert np.all(trace.fevals >= 1)
-    assert np.all(trace.fevals <= 3000)
+    assert all(1 <= e.eval_index <= 3000 for e in elites)
 
 
 def test_run_scaling_modes_complete():
     problem = dataclasses.replace(make_problem(4), budget=4000)
     for mode in ("with-d", "literal"):
         rec = RecordingProblem(problem)
-        elites, _ = run(rec.problem, seed=1, xi_scaling=mode)
+        elites = run(rec.problem, seed=1, xi_scaling=mode)
         assert rec.n_evals <= 4000
         assert len(elites) >= 1

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hillvallea.orchestrator import RunTrace
 from hillvallea.problems.evaluator import Solution
 from hillvallea.problems.suite import InvalidProblemError, make_problem
 from hillvallea.scoring import (ACCURACY_LEVELS, InvalidTraceError,
@@ -122,14 +121,15 @@ def test_count_is_monotone_in_accuracy_level():
 # --- dynamic F1 -------------------------------------------------------------
 
 
-def trace_of(problem, rows, budget=None):
-    records = []
+def trace_of(problem, rows):
+    """A run's elites as run returns them: (eval_index, position) rows
+    with genuine fitness, in acceptance order."""
+    trace = []
     for feval, x in rows:
         x = np.asarray(x, dtype=float)
         f = float(np.atleast_1d(problem.fn(x[None, :]))[0])
-        records.append((feval, f, x))
-    return RunTrace(records=records,
-                    budget=problem.budget if budget is None else budget)
+        trace.append(Solution(x, f, feval))
+    return trace
 
 
 def test_dyn_f1_single_record_at_half_budget():
@@ -220,12 +220,11 @@ def reference_dyn_f1(trace, problem, eps):
     t = len(trace)
     if t == 0:
         return 0.0
-    fevals = trace.fevals
-    budget = trace.budget
-    solutions = [Solution(x, fit, int(fe)) for (fe, fit, x) in trace.records]
+    fevals = [s.eval_index for s in trace]
+    budget = problem.budget
 
     def prefix_f1(upto):
-        g = reference_count(solutions[:upto], problem, eps)
+        g = reference_count(trace[:upto], problem, eps)
         return f1(peak_ratio(g, problem.n_global_optima),
                   success_rate(g, upto))
 
@@ -259,9 +258,9 @@ def crowded_traces(draw):
                                   max_size=t, unique=True)))
     fits = draw(st.lists(st.sampled_from([1.0, 1.0 - 1e-6, 0.999, 0.95,
                                           0.5]), min_size=t, max_size=t))
-    records = [(fe, fit, np.array(x))
-               for fe, fit, x in zip(fevals, fits, draw(points(t)))]
-    return problem, RunTrace(records=records, budget=1000)
+    trace = [Solution(np.array(x), fit, fe)
+             for fe, fit, x in zip(fevals, fits, draw(points(t)))]
+    return problem, trace
 
 
 def fittest_first_cascade():
@@ -273,8 +272,9 @@ def fittest_first_cascade():
         flat_one, lower=[-1.0], upper=[2.0], budget=1000,
         optima_positions=np.array([[0.0], [0.5]]),
         optima_fitness=np.ones(2), niche_radius=0.3)
-    records = [(100, 0.95, np.array([0.25])), (400, 1.0, np.array([-0.125]))]
-    return problem, RunTrace(records=records, budget=1000)
+    trace = [Solution(np.array([0.25]), 0.95, 100),
+             Solution(np.array([-0.125]), 1.0, 400)]
+    return problem, trace
 
 
 @given(case=crowded_traces(),
@@ -285,9 +285,8 @@ def test_dyn_f1_equals_the_per_prefix_recount(case, eps):
     problem, trace = case
     assert dyn_f1(trace, problem, eps) == reference_dyn_f1(trace, problem,
                                                            eps)
-    solutions = [Solution(x, fit, fe) for (fe, fit, x) in trace.records]
-    assert count_distinct_global(solutions, problem, eps) == \
-        reference_count(solutions, problem, eps)
+    assert count_distinct_global(trace, problem, eps) == \
+        reference_count(trace, problem, eps)
 
 
 # --- per-run and per-problem aggregation ------------------------------------
