@@ -14,6 +14,7 @@ scripts/generate_composition_data.py.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -24,13 +25,24 @@ BasicFunction = Callable[[np.ndarray], np.ndarray]
 
 BLEND_SCALE = 2000.0
 
+# Basic functions see at most this many rows per call, which bounds their
+# (rows, d, 21) Weierstrass temporary on large sampling batches.
+_BLOCK_ROWS = 2048
+
 
 def sphere(z: np.ndarray) -> np.ndarray:
     return (z * z).sum(axis=1)
 
 
-def grienwank(z: np.ndarray) -> np.ndarray:
-    i = np.sqrt(np.arange(1.0, z.shape[1] + 1.0))
+@functools.cache
+def _griewank_divisors(d: int) -> np.ndarray:
+    i = np.sqrt(np.arange(1.0, d + 1.0))
+    i.flags.writeable = False
+    return i
+
+
+def griewank(z: np.ndarray) -> np.ndarray:
+    i = _griewank_divisors(z.shape[1])
     return (z * z).sum(axis=1) / 4000.0 - np.cos(z / i).prod(axis=1) + 1.0
 
 
@@ -40,11 +52,14 @@ def rastrigin(z: np.ndarray) -> np.ndarray:
 
 _WEIERSTRASS_A = 0.5 ** np.arange(21)
 _WEIERSTRASS_B = 3.0 ** np.arange(21)
+_WEIERSTRASS_2PI_B = 2.0 * np.pi * _WEIERSTRASS_B
 _WEIERSTRASS_F0 = float((_WEIERSTRASS_A * np.cos(np.pi * _WEIERSTRASS_B)).sum())
 
 
 def weierstrass(z: np.ndarray) -> np.ndarray:
-    inner = _WEIERSTRASS_A * np.cos(2.0 * np.pi * _WEIERSTRASS_B * (z[..., None] + 0.5))
+    inner = _WEIERSTRASS_2PI_B * (z[..., None] + 0.5)
+    np.cos(inner, out=inner)
+    inner *= _WEIERSTRASS_A
     return inner.sum(axis=(-2, -1)) - z.shape[1] * _WEIERSTRASS_F0
 
 
@@ -52,7 +67,7 @@ def expanded_griewank_rosenbrock(z: np.ndarray) -> np.ndarray:
     """Griewank-of-Rosenbrock chained over consecutive coordinate pairs,
     wrapping around, shifted so the minimum 0 sits at the origin."""
     u = z + 1.0
-    v = np.roll(u, -1, axis=1)
+    v = np.concatenate((u[:, 1:], u[:, :1]), axis=1)
     r = 100.0 * (u * u - v) ** 2 + (1.0 - u) ** 2
     return (r * r / 4000.0 - np.cos(r) + 1.0).sum(axis=1)
 
@@ -76,7 +91,7 @@ CF1 = CompositionFamily(
     name="CF1",
     sigma=(1.0,) * 6,
     lam=(1.0, 1.0, 8.0, 8.0, 1.0 / 5.0, 1.0 / 5.0),
-    components=(grienwank, grienwank, weierstrass, weierstrass, sphere, sphere),
+    components=(griewank, griewank, weierstrass, weierstrass, sphere, sphere),
     rotated=False,
 )
 
@@ -85,7 +100,7 @@ CF2 = CompositionFamily(
     sigma=(1.0,) * 8,
     lam=(1.0, 1.0, 10.0, 10.0, 1.0 / 10.0, 1.0 / 10.0, 1.0 / 7.0, 1.0 / 7.0),
     components=(rastrigin, rastrigin, weierstrass, weierstrass,
-                grienwank, grienwank, sphere, sphere),
+                griewank, griewank, sphere, sphere),
     rotated=False,
 )
 
@@ -94,7 +109,7 @@ CF3 = CompositionFamily(
     sigma=(1.0, 1.0, 2.0, 2.0, 2.0, 2.0),
     lam=(1.0 / 4.0, 1.0 / 10.0, 2.0, 1.0, 2.0, 5.0),
     components=(expanded_griewank_rosenbrock, expanded_griewank_rosenbrock,
-                weierstrass, weierstrass, grienwank, grienwank),
+                weierstrass, weierstrass, griewank, griewank),
     rotated=True,
 )
 
@@ -104,7 +119,7 @@ CF4 = CompositionFamily(
     lam=(4.0, 1.0, 4.0, 1.0, 1.0 / 10.0, 1.0 / 5.0, 1.0 / 10.0, 1.0 / 40.0),
     components=(rastrigin, rastrigin,
                 expanded_griewank_rosenbrock, expanded_griewank_rosenbrock,
-                weierstrass, weierstrass, grienwank, grienwank),
+                weierstrass, weierstrass, griewank, griewank),
     rotated=True,
 )
 
@@ -126,7 +141,8 @@ class CompositionFunction:
         self.d = d
         self.shifts = shifts
         self.rotations = rotations
-        self._sigma_sq2d = 2.0 * d * np.asarray(family.sigma) ** 2
+        # Stored negated: s / (-c) has the bits of -(s) / c.
+        self._neg_sigma_sq2d = -2.0 * d * np.asarray(family.sigma) ** 2
         self._lam = np.asarray(family.lam)
         # Reference magnitude per component, evaluated at a fixed probe
         # point so the blended terms share a common scale.
@@ -137,23 +153,44 @@ class CompositionFunction:
             self._fmax[i] = abs(float(fn(zi[None, :])[0]))
         if not np.all(self._fmax > 0.0):
             raise ValueError("degenerate component normalization")
+        # Runs [a, b) of consecutive components sharing a basic function,
+        # each evaluated in one call (every family pairs them adjacently).
+        comps = family.components
+        starts = [i for i in range(n) if i == 0 or comps[i] is not comps[i - 1]]
+        self._runs = [(comps[a], a, b)
+                      for a, b in zip(starts, starts[1:] + [n])]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        fam = self.family
-        n = fam.n_components
+        n = self.family.n_components
         m = x.shape[0]
+        diff = x - self.shifts[:, None, :]
+        # Weights and values are blended as (m, n) C-contiguous arrays:
+        # numpy sums 8 or more terms pairwise only along a contiguous axis.
         w = np.empty((m, n))
-        g = np.empty((m, n))
-        for i, fn in enumerate(fam.components):
-            diff = x - self.shifts[i]
-            w[:, i] = np.exp(-(diff * diff).sum(axis=1) / self._sigma_sq2d[i])
-            z = (diff / self._lam[i]) @ self.rotations[i]
-            g[:, i] = BLEND_SCALE * fn(z) / self._fmax[i]
+        np.divide((diff * diff).sum(axis=2).T, self._neg_sigma_sq2d, out=w)
+        np.exp(w, out=w)
+        # Divide, not multiply by 1/lam: the products differ in the last bit.
+        diff /= self._lam[:, None, None]
+        # No row blocks: at d = 20 the gemm's bits depend on the row count.
+        z = diff @ self.rotations
+        g = np.empty((n, m))
+        for fn, a, b in self._runs:
+            rows = z[a:b].reshape(-1, self.d)
+            out = g[a:b].reshape(-1)
+            for s in range(0, len(rows), _BLOCK_ROWS):
+                out[s:s + _BLOCK_ROWS] = fn(rows[s:s + _BLOCK_ROWS])
+        g *= BLEND_SCALE
+        g /= self._fmax[:, None]
         wmax = w.max(axis=1, keepdims=True)
-        w = np.where(w == wmax, w, w * (1.0 - wmax ** 10))
+        np.multiply(w, 1.0 - wmax ** 10, out=w, where=w != wmax)
         total = w.sum(axis=1, keepdims=True)
-        w = np.where(total == 0.0, 1.0 / n, w / np.where(total == 0.0, 1.0, total))
-        return -(w * g).sum(axis=1)
+        if total.all():
+            w /= total
+        else:
+            w = np.where(total == 0.0, 1.0 / n,
+                         w / np.where(total == 0.0, 1.0, total))
+        np.multiply(w, g.T, out=w)
+        return -w.sum(axis=1)
 
 
 def composition_data_filename(family_name: str, d: int) -> str:

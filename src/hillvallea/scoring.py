@@ -32,20 +32,27 @@ def count_distinct_global(solutions: Sequence[Solution], problem: Problem,
     """Greedy matching, fittest solution first: claim the nearest
     unclaimed optimum whose fitness differs by at most eps and whose
     position is within the niche radius."""
-    if len(solutions) == 0:
-        return 0
+    fs, xs, order = _fittest_first(solutions)
+    claimers, claims = _claims(fs, xs, order, problem, eps)
+    return _greedy_count(claimers, claims, len(solutions))
+
+
+def _fittest_first(solutions: Sequence[Solution]
+                   ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The solutions' fitness and position arrays, and their indices
+    fittest first (stable on ties)."""
     fs = np.array([s.f for s in solutions])
     xs = np.array([s.x for s in solutions])
-    claims = _claimable_optima(fs, xs, problem, eps)
-    return _greedy_count(np.argsort(-fs, kind="stable").tolist(), claims,
-                         len(solutions))
+    return fs, xs, np.argsort(-fs, kind="stable").tolist()
 
 
-def _claimable_optima(fs: np.ndarray, xs: np.ndarray, problem: Problem,
-                      eps: float) -> list[list[int]]:
+def _claims(fs: np.ndarray, xs: np.ndarray, order: list[int],
+            problem: Problem, eps: float
+            ) -> tuple[list[int], list[list[int]]]:
     """For each solution, the optima it may claim while they are
     unclaimed: fitness within eps, position within the niche radius,
-    nearest first and the lower index first on equal distances."""
+    nearest first and the lower index first on equal distances. Also
+    the solutions with any claim, in the given order."""
     opt_pos = problem.optima_positions
     opt_fit = problem.optima_fitness
     radius_sq = problem.niche_radius ** 2
@@ -58,7 +65,7 @@ def _claimable_optima(fs: np.ndarray, xs: np.ndarray, problem: Problem,
         d2 = ((opt_pos - x) ** 2).sum(axis=1)
         hits = np.flatnonzero(close_fit & (d2 <= radius_sq))
         claims.append(hits[np.argsort(d2[hits], kind="stable")].tolist())
-    return claims
+    return [i for i in order if claims[i]], claims
 
 
 def _greedy_count(order: list[int], claims: list[list[int]],
@@ -106,6 +113,13 @@ def dyn_f1(solutions: Sequence[Solution], problem: Problem,
     solution's claimable optima do not depend on the prefix, and a
     prefix's fittest-first order is the whole list's stable order
     restricted to it, so both are worked out once."""
+    fs, xs, order = _fittest_first(solutions)
+    claimers, claims = _claims(fs, xs, order, problem, eps)
+    return _dyn_f1(solutions, claimers, claims, problem)
+
+
+def _dyn_f1(solutions: Sequence[Solution], claimers: list[int],
+            claims: list[list[int]], problem: Problem) -> float:
     t = len(solutions)
     if t == 0:
         return 0.0
@@ -115,11 +129,6 @@ def dyn_f1(solutions: Sequence[Solution], problem: Problem,
         raise InvalidTraceError("eval_index must strictly ascend")
     if fevals[0] < 1 or fevals[-1] > budget:
         raise InvalidTraceError("solutions must lie within the run budget")
-    fs = np.array([s.f for s in solutions])
-    claims = _claimable_optima(fs, np.array([s.x for s in solutions]),
-                               problem, eps)
-    claimers = [i for i in np.argsort(-fs, kind="stable").tolist()
-                if claims[i]]
     n_global = problem.n_global_optima
 
     def prefix_f1(upto: int) -> float:
@@ -146,14 +155,19 @@ class LevelScores:
 def score_run(solutions: Sequence[Solution],
               problem: Problem) -> list[LevelScores]:
     """Score one run's elites, as run returns them, at every accuracy
-    level."""
+    level. Each level's claims serve both its count and its dynamic
+    F1."""
+    t = len(solutions)
+    fs, xs, order = _fittest_first(solutions)
     out = []
     for eps in ACCURACY_LEVELS:
-        g = count_distinct_global(solutions, problem, eps)
+        claimers, claims = _claims(fs, xs, order, problem, eps)
+        g = _greedy_count(claimers, claims, t)
         pr = peak_ratio(g, problem.n_global_optima)
-        sr = success_rate(g, len(solutions))
-        out.append(LevelScores(eps=eps, g=g, pr=pr, sr=sr, f1=f1(pr, sr),
-                               dyn_f1=dyn_f1(solutions, problem, eps)))
+        sr = success_rate(g, t)
+        out.append(LevelScores(
+            eps=eps, g=g, pr=pr, sr=sr, f1=f1(pr, sr),
+            dyn_f1=_dyn_f1(solutions, claimers, claims, problem)))
     return out
 
 

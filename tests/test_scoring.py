@@ -289,6 +289,18 @@ def test_dyn_f1_equals_the_per_prefix_recount(case, eps):
         reference_count(trace, problem, eps)
 
 
+@given(case=crowded_traces())
+@example(case=fittest_first_cascade())
+@settings(max_examples=100, deadline=None)
+def test_score_run_equals_the_per_level_references(case):
+    """score_run works out each level's claims once for both the count
+    and the dynamic F1."""
+    problem, trace = case
+    for s in score_run(trace, problem):
+        assert s.g == reference_count(trace, problem, s.eps)
+        assert s.dyn_f1 == reference_dyn_f1(trace, problem, s.eps)
+
+
 # --- per-run and per-problem aggregation ------------------------------------
 
 
