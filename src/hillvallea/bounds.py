@@ -11,19 +11,25 @@ import numpy as np
 class Bounds:
     lower: np.ndarray
     upper: np.ndarray
-    # Derived arrays cached because they sit on hot paths.
+    # Derived values cached for hot paths; the diagonal avoids BLAS.
     range: np.ndarray = field(init=False, repr=False)
+    diagonal: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1 or lower.size < 1:
             raise ValueError("lower and upper must be 1-D vectors of equal length")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ValueError("every bound must be finite")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
-        for name, arr in (("lower", lower), ("upper", upper), ("range", upper - lower)):
+        span = upper - lower
+        for name, arr in (("lower", lower), ("upper", upper), ("range", span)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        diagonal = float(np.sqrt((span * span).sum()))
+        object.__setattr__(self, "diagonal", diagonal)
 
     @property
     def d(self) -> int:

@@ -22,7 +22,7 @@ from .hillvalley import (expected_edge_length, hill_valley_clustering,
                          hill_valley_test, n_test_points)
 from .problems.evaluator import (BudgetExhaustedError, Evaluator, Solution)
 from .problems.suite import Problem
-from .sampling import EMPTY_HISTORY, LabeledHistory, sample_initial_population
+from .sampling import sample_initial_population
 
 XI_SCALING_MODES = ("with-d", "literal")
 
@@ -96,7 +96,7 @@ def update_elite_archive(elites: list[Solution], candidate: Solution,
     d2 = ((positions - candidate.x) ** 2).sum(axis=1)
     nearest = int(np.argmin(d2))
     dist = float(np.sqrt(d2[nearest]))
-    if dist <= DUPLICATE_DISTANCE_FRACTION * float(np.linalg.norm(bounds.range)):
+    if dist <= DUPLICATE_DISTANCE_FRACTION * bounds.diagonal:
         same_niche = True
     else:
         eel = expected_edge_length(len(elites) + 1, bounds)
@@ -127,14 +127,15 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
     acceptance order, each with its acceptance index as eval_index:
     the run's record for scoring and for its trace file."""
     rng = np.random.default_rng(seed)
-    ev = Evaluator(problem)
     bounds = problem.bounds
+    ev = Evaluator(problem.fn, bounds, problem.budget)
     elites: list[Solution] = []
-    history = EMPTY_HISTORY
-    p = initial_restart_params(p0, problem.d, xi_scaling)
+    # the previous restart's selection and the cluster of each point
+    points, labels = np.empty((0, bounds.d)), np.empty(0, dtype=np.intp)
+    p = initial_restart_params(p0, bounds.d, xi_scaling)
 
     while ev.remaining >= p.n:
-        xs = sample_initial_population(p.n, bounds, history, rng)
+        xs = sample_initial_population(p.n, bounds, points, labels, rng)
         base_index = ev.evals_used
         fs = ev.evaluate_batch(xs)
 
@@ -144,11 +145,10 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
                      for j in order]
         clusters = hill_valley_clustering(selection, ev, bounds)
 
-        history = LabeledHistory(
-            np.array([m.x for c in clusters for m in c]),
-            np.repeat(np.arange(len(clusters)), [len(c) for c in clusters]))
+        points = np.array([m.x for c in clusters for m in c])
+        labels = np.repeat(np.arange(len(clusters)), list(map(len, clusters)))
 
-        pop_size = cluster_pop_size(p, problem.d)
+        pop_size = cluster_pop_size(p, bounds.d)
         for cluster in clusters:
             if ev.remaining == 0:
                 break

@@ -10,20 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Callable
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .suite import Problem
+from ..bounds import Bounds
 
 
 class BudgetExhaustedError(RuntimeError):
-    """Raised when an evaluation would exceed the problem budget."""
+    """Raised when an evaluation would exceed the budget."""
 
 
 class OutOfBoundsError(ValueError):
-    """Raised when a point violates the problem's box constraints."""
+    """Raised when a point violates the box constraints."""
 
 
 @dataclass(eq=False)
@@ -34,14 +33,15 @@ class Solution:
 
 
 class Evaluator:
-    """Single-owner mutable evaluation gateway for one run."""
+    """Single-owner mutable evaluation gateway for one run: at most
+    `budget` evaluations of `fn`, an (n, d) -> (n,) batch objective."""
 
-    def __init__(self, problem: "Problem"):
+    def __init__(self, fn: Callable, bounds: Bounds, budget: int):
         self.evals_used = 0
-        self._budget = problem.budget
-        self._fn = problem.fn
-        self._lower = problem.bounds.lower
-        self._upper = problem.bounds.upper
+        self._budget = budget
+        self._fn = fn
+        self._lower = bounds.lower
+        self._upper = bounds.upper
 
     @property
     def remaining(self) -> int:
@@ -55,7 +55,7 @@ class Evaluator:
         # Python wrapper that costs more than the comparison itself.
         if (np.count_nonzero(x < self._lower)
                 or np.count_nonzero(x > self._upper)):
-            raise OutOfBoundsError(f"point {x!r} outside problem bounds")
+            raise OutOfBoundsError(f"point {x!r} outside the bounds")
         fs = _checked(self._fn(np.asarray(x, dtype=float)[None, :]), 1)
         self.evals_used += 1
         return float(fs[0])
@@ -87,8 +87,8 @@ def _checked(fs: np.ndarray, n: int) -> np.ndarray:
     values: NaN, inf or a wrong shape would otherwise flow silently
     into the sorts and comparisons downstream."""
     if getattr(fs, "shape", None) != (n,):
-        raise ValueError(f"objective returned shape {np.shape(fs)} "
-                         f"for {n} points, expected ({n},)")
+        raise ValueError(f"objective returned {type(fs).__name__} of shape "
+                         f"{np.shape(fs)}, expected an array of shape ({n},)")
     # Hill-valley probes are single-point calls; math.isfinite on the
     # lone value costs a tenth of np.isfinite there.
     if not (math.isfinite(fs[0]) if n == 1

@@ -8,8 +8,6 @@ candidates down to N. None of these consume objective evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -19,43 +17,27 @@ REJECTION_PROBABILITY = 0.9
 MAX_REDRAWS = 100
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledHistory:
-    """Previous restart's initial population with its cluster labels."""
-
-    points: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.labels):
-            raise ValueError("points and labels must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-EMPTY_HISTORY = LabeledHistory(np.empty((0, 0)), np.empty(0, dtype=int))
-
-
 def sample_uniform(n: int, bounds: Bounds,
                    rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.d))
 
 
-def rejection_sample(n: int, bounds: Bounds, history: LabeledHistory,
+def rejection_sample(n: int, bounds: Bounds, points: np.ndarray,
+                     labels: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     """Draw n points uniformly, rejecting a draw with probability 0.9
     when its nearest d+1 history points all carry one cluster label.
+    The history is the previous restart's selected `points` and `labels`.
     Each slot is redrawn at most MAX_REDRAWS times, then the final draw
     is accepted unconditionally.
 
     Each round draws its candidates, then its gate uniforms, and only
     candidates whose gate fired are looked up in the history; a draw
     that passes the gate is accepted whatever its neighbors."""
-    if len(history) == 0:
+    if len(points) == 0:
         return sample_uniform(n, bounds, rng)
 
-    single_basin = _single_basin_test(history, bounds)
+    single_basin = _single_basin_test(points, labels, bounds)
     out = np.empty((n, bounds.d))
     unfilled = np.arange(n)
     for round_no in range(MAX_REDRAWS + 1):
@@ -86,19 +68,20 @@ _CELLS_PER_HISTORY_POINT = 2
 _CERTIFY_NEIGHBORS = 32
 
 
-def _single_basin_test(history: LabeledHistory, bounds: Bounds):
+def _single_basin_test(points: np.ndarray, labels: np.ndarray,
+                       bounds: Bounds):
     """Predicate over an (m, d) array: whether each point's nearest
     d+1 history points all carry one label."""
-    k = min(bounds.d + 1, len(history))
-    tree = cKDTree(history.points)
+    k = min(bounds.d + 1, len(points))
+    tree = cKDTree(points)
 
     def query(q: np.ndarray) -> np.ndarray:
-        labels = history.labels[tree.query(q, k=k)[1].reshape(len(q), k)]
-        return (labels == labels[:, :1]).all(axis=1)
+        near = labels[tree.query(q, k=k)[1].reshape(len(q), k)]
+        return (near == near[:, :1]).all(axis=1)
 
     if bounds.d > _GRID_MAX_D:
         return query
-    certified, cell_of = _single_label_cells(tree, history.labels, bounds, k)
+    certified, cell_of = _single_label_cells(tree, labels, bounds, k)
 
     def test(q: np.ndarray) -> np.ndarray:
         out = certified[cell_of(q)]
@@ -330,10 +313,11 @@ def _ring_positions(centers: np.ndarray, radii: np.ndarray, lo, inv_h,
     return ring, np.repeat(row_ball, lengths)
 
 
-def sample_initial_population(n: int, bounds: Bounds, history: LabeledHistory,
+def sample_initial_population(n: int, bounds: Bounds, points: np.ndarray,
+                              labels: np.ndarray,
                               rng: np.random.Generator) -> np.ndarray:
     """Draw 2N candidates with rejection, keep the N most scattered."""
     if n < 1:
         raise ValueError("population size must be at least 1")
-    candidates = rejection_sample(2 * n, bounds, history, rng)
+    candidates = rejection_sample(2 * n, bounds, points, labels, rng)
     return greedy_scattered_subset(candidates, n)

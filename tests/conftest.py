@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from hillvallea.bounds import Bounds
-from hillvallea.problems.evaluator import Evaluator, Solution
+from hillvallea.problems.evaluator import Solution
+from hillvallea.problems.functions import equal_maxima
 from hillvallea.problems.suite import Problem
 
+# Problem 2's objective (five equal peaks at 0.1, 0.3, ..., 0.9) and
+# box, for tests that evaluate without a Problem
+EQUAL_MAXIMA = equal_maxima, Bounds(np.zeros(1), np.ones(1))
 
-def synthetic_problem(fn, lower, upper, budget=10**9, optima_positions=None,
+BIG = 10**9  # a budget no test exhausts
+
+
+def synthetic_problem(fn, lower, upper, budget=BIG, optima_positions=None,
                       optima_fitness=None, niche_radius=0.01,
                       problem_id=0, name="synthetic") -> Problem:
     """Build a Problem around an arbitrary batch objective for unit tests.
@@ -41,63 +48,61 @@ def quadratic_bowl(center) -> callable:
     return fn
 
 
-def bowl_problem(d=1, budget=10**9, lo=-5.0, hi=5.0) -> Problem:
-    center = np.zeros(d)
-    return synthetic_problem(quadratic_bowl(center), np.full(d, lo),
-                             np.full(d, hi), budget=budget,
-                             optima_positions=center[None, :],
+def bowl(d=1, lo=-5.0, hi=5.0):
+    """The quadratic bowl centred at the origin of [lo, hi]^d, as the
+    (objective, bounds) pair that an Evaluator takes."""
+    return quadratic_bowl(np.zeros(d)), Bounds(np.full(d, lo), np.full(d, hi))
+
+
+def bowl_problem(d=1, budget=BIG, lo=-5.0, hi=5.0) -> Problem:
+    fn, bounds = bowl(d, lo, hi)
+    return synthetic_problem(fn, bounds.lower, bounds.upper, budget=budget,
+                             optima_positions=np.zeros((1, d)),
                              optima_fitness=np.zeros(1))
 
 
-def make_solutions(problem: Problem, xs: np.ndarray,
+def make_solutions(fn, xs: np.ndarray,
                    start_index: int = 1) -> list[Solution]:
-    """Hand-built solutions with genuine fitness and sequential indices,
-    without consuming any evaluator budget."""
+    """Hand-built solutions with genuine fitness under the batch
+    objective `fn` and sequential indices, without consuming any
+    evaluator budget."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    fs = problem.fn(xs)
+    fs = fn(xs)
     return [Solution(x.copy(), float(f), start_index + i)
             for i, (x, f) in enumerate(zip(xs, fs))]
 
 
-def sorted_selection(problem: Problem, xs: np.ndarray) -> list[Solution]:
+def sorted_selection(fn, xs: np.ndarray) -> list[Solution]:
     """Solutions sorted fitness-descending, ready for clustering."""
-    sols = make_solutions(problem, xs)
+    sols = make_solutions(fn, xs)
     return sorted(sols, key=lambda s: -s.f)
 
 
-class RecordingProblem:
-    """Wrap a problem so every evaluated point is logged in call order.
+class RecordingObjective:
+    """Wrap a batch objective so every evaluated point is logged in
+    call order.
 
     Used to prove that two code paths issue identical evaluation streams
     and to count evaluations consumed behind an evaluator.
     """
 
-    def __init__(self, problem: Problem):
+    def __init__(self, fn):
+        self.fn = fn
         self.rows: list[np.ndarray] = []
-        inner = problem.fn
 
-        def recording_fn(xs: np.ndarray) -> np.ndarray:
-            for row in np.atleast_2d(xs):
-                self.rows.append(np.array(row, dtype=float))
-            return inner(xs)
-
-        import dataclasses
-        self.problem = dataclasses.replace(problem, fn=recording_fn)
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        for row in np.atleast_2d(xs):
+            self.rows.append(np.array(row, dtype=float))
+        return self.fn(xs)
 
     @property
     def n_evals(self) -> int:
         return len(self.rows)
 
     def stream(self) -> np.ndarray:
-        if not self.rows:
-            return np.empty((0, self.problem.d))
-        return np.vstack(self.rows)
+        return np.vstack(self.rows) if self.rows else np.empty((0, 0))
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
-
-
-def fresh_evaluator(problem: Problem) -> Evaluator:
-    return Evaluator(problem)

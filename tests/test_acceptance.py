@@ -26,6 +26,8 @@ from hillvallea.harness import ExperimentConfig
 from hillvallea.hillvalley import (expected_edge_length,
                                    hill_valley_clustering, hill_valley_test)
 from hillvallea.orchestrator import RestartParams, run
+from hillvallea.bounds import Bounds
+from hillvallea.problems import functions
 from hillvallea.problems.evaluator import Evaluator, Solution
 from hillvallea.problems.suite import MissingDataError, make_problem
 from hillvallea.sampling import greedy_scattered_subset
@@ -33,7 +35,7 @@ from hillvallea.scoring import (ACCURACY_LEVELS, LevelScores, aggregate,
                                 count_distinct_global, dyn_f1, f1,
                                 peak_ratio, score_run, success_rate)
 
-from conftest import bowl_problem, make_solutions, sorted_selection, \
+from conftest import BIG, bowl, make_solutions, sorted_selection, \
     synthetic_problem
 
 REPO = Path(__file__).resolve().parent.parent
@@ -211,21 +213,21 @@ def test_criterion_6_niche_test_agrees_with_dense_grid_oracle():
     pairs straddle a narrow valley depends on the landscape, so the
     overall agreement rate is reported, not bounded."""
     landscapes = [
-        (make_problem(1).fn, 0.0, 30.0),
-        (make_problem(2).fn, 0.0, 1.0),
-        (make_problem(3).fn, 0.0, 1.0),
+        (functions.five_uneven_peak_trap, 0.0, 30.0),
+        (functions.equal_maxima, 0.0, 1.0),
+        (functions.uneven_decreasing_maxima, 0.0, 1.0),
         (_vincent_1d, 0.25, 10.0),
         (_shubert_1d, -10.0, 10.0),
     ]
     n_t = 10
     for idx, (fn, lo, hi) in enumerate(landscapes):
-        problem = synthetic_problem(fn, [lo], [hi])
+        bounds = Bounds(np.array([lo]), np.array([hi]))
         rng = np.random.default_rng(100 + idx)
         agree = wide = 0
         for _ in range(50):
             xa, xb = rng.uniform(lo, hi, size=2)
-            a, b = make_solutions(problem, np.array([[xa], [xb]]))
-            ev = Evaluator(problem)
+            a, b = make_solutions(fn, np.array([[xa], [xb]]))
+            ev = Evaluator(fn, bounds, BIG)
             sparse = hill_valley_test(ev, a, b, n_t)
 
             grid = np.linspace(min(xa, xb), max(xa, xb), 10_000)
@@ -266,27 +268,25 @@ def _rugged(rows):
 
 def test_criterion_6_clustering_invariants_across_dimensions():
     for d in (1, 2, 5):
-        lo, hi = [0.0] * d, [1.0] * d
+        bowl_fn, bounds = bowl(d=d, lo=0.0, hi=1.0)
         # Partition: every selected solution lands in exactly one cluster.
-        rugged_problem = synthetic_problem(_rugged, lo, hi)
         for size, seed in itertools.product((2, 9, 33), (0, 1)):
             rng = np.random.default_rng(seed)
             xs = rng.uniform(0.0, 1.0, size=(size, d))
-            selection = sorted_selection(rugged_problem, xs)
+            selection = sorted_selection(_rugged, xs)
             clusters = hill_valley_clustering(
-                selection, Evaluator(rugged_problem), rugged_problem.bounds)
+                selection, Evaluator(_rugged, bounds, BIG), bounds)
             clustered = [s for c in clusters for s in c]
             assert len(clustered) == size
             assert {id(s) for s in clustered} == {id(s) for s in selection}
 
         # Concave landscape: a bowl always forms a single cluster.
-        bowl = bowl_problem(d=d, lo=0.0, hi=1.0)
         for size in (2, 7, 40):
             rng = np.random.default_rng(size)
             xs = rng.uniform(0.0, 1.0, size=(size, d))
-            selection = sorted_selection(bowl, xs)
+            selection = sorted_selection(bowl_fn, xs)
             clusters = hill_valley_clustering(
-                selection, Evaluator(bowl), bowl.bounds)
+                selection, Evaluator(bowl_fn, bounds, BIG), bounds)
             assert len(clusters) == 1
             assert len(clusters[0]) == size
 
@@ -294,16 +294,15 @@ def test_criterion_6_clustering_invariants_across_dimensions():
         # length of their nearest better neighbor join it untested, so
         # a tight chain clusters without spending any evaluations.
         n = 12
-        eel = expected_edge_length(n, bowl.bounds)
+        eel = expected_edge_length(n, bounds)
         step = 0.1 * eel / math.sqrt(d)
         center = np.full(d, 0.5)
         xs = [center.copy() for _ in range(n // 2)]
         for i in range(1, n // 2 + 1):
             xs.append(center + i * step)
-        zero_budget = dataclasses.replace(bowl, budget=0)
-        selection = sorted_selection(zero_budget, np.array(xs))
-        ev = Evaluator(zero_budget)
-        clusters = hill_valley_clustering(selection, ev, zero_budget.bounds)
+        selection = sorted_selection(bowl_fn, np.array(xs))
+        ev = Evaluator(bowl_fn, bounds, 0)
+        clusters = hill_valley_clustering(selection, ev, bounds)
         assert ev.evals_used == 0
         assert len(clusters) == 1
         assert len(clusters[0]) == n

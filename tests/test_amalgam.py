@@ -21,15 +21,11 @@ from hillvallea.amalgam import (AMS_FRACTION, C_MULT_MAX, C_MULT_MIN,
 from hillvallea.bounds import Bounds
 from hillvallea.problems.evaluator import Evaluator, Solution
 
-from conftest import RecordingProblem, quadratic_bowl, synthetic_problem
+from conftest import BIG, RecordingObjective, quadratic_bowl
 
-
-def offset_bowl_problem(budget=10**9):
-    """f(x) = -(x - 3)^2 on a wide interval."""
-    return synthetic_problem(quadratic_bowl([3.0]), [-50.0], [50.0],
-                             budget=budget,
-                             optima_positions=np.array([[3.0]]),
-                             optima_fitness=np.zeros(1))
+# f(x) = -(x - 3)^2 on a wide interval
+OFFSET_BOWL = quadratic_bowl([3.0])
+WIDE = Bounds(np.array([-50.0]), np.array([50.0]))
 
 
 def unit_spread_cluster() -> list[Solution]:
@@ -95,9 +91,8 @@ def test_init_two_member_cluster_mean_and_sample_stddev():
 
 
 def test_step_consumes_exactly_pop_size_and_never_loses_the_best():
-    problem = offset_bowl_problem()
-    ev = Evaluator(problem)
-    state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
+    ev = Evaluator(OFFSET_BOWL, WIDE, BIG)
+    state = init_core_search(unit_spread_cluster(), 10, WIDE)
     rng = np.random.default_rng(0)
     best_f = state.best.f
     for step in range(1, 51):
@@ -112,11 +107,9 @@ def test_step_consumes_exactly_pop_size_and_never_loses_the_best():
 
 
 def test_step_is_deterministic():
-    problem = offset_bowl_problem()
-
     def one(seed):
-        ev = Evaluator(problem)
-        state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
+        ev = Evaluator(OFFSET_BOWL, WIDE, BIG)
+        state = init_core_search(unit_spread_cluster(), 10, WIDE)
         rng = np.random.default_rng(seed)
         for _ in range(5):
             state = core_search_step(state, ev, rng)
@@ -132,9 +125,8 @@ def test_step_is_deterministic():
 
 
 def test_step_without_budget_terminates_without_consuming():
-    problem = offset_bowl_problem(budget=7)   # fewer than one population
-    ev = Evaluator(problem)
-    state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
+    ev = Evaluator(OFFSET_BOWL, WIDE, 7)   # fewer than one population
+    state = init_core_search(unit_spread_cluster(), 10, WIDE)
     stepped = core_search_step(state, ev, np.random.default_rng(0))
     assert stepped.terminated
     assert ev.evals_used == 0
@@ -150,11 +142,12 @@ def test_samples_stay_inside_bounds():
         fn_box.append(xs.copy())
         return -np.abs(xs).sum(axis=1)
 
-    problem = synthetic_problem(spy, [-1.0], [1.0])
+    bounds = Bounds(np.array([-1.0]), np.array([1.0]))
     member = Solution(np.array([1.0]), -1.0, 1)
-    state = init_core_search([member], 16, problem.bounds)
+    state = init_core_search([member], 16, bounds)
     state = dataclasses.replace(state, stddev=np.array([100.0]))
-    core_search_step(state, Evaluator(problem), np.random.default_rng(3))
+    core_search_step(state, Evaluator(spy, bounds, BIG),
+                     np.random.default_rng(3))
     sampled = np.vstack(fn_box)
     assert np.all(sampled >= -1.0) and np.all(sampled <= 1.0)
     # The huge spread really did press against both walls.
@@ -247,15 +240,15 @@ def wavy(xs):
 ])
 def test_step_matches_reference_bit_for_bit(d, pop_size, start, spread):
     def side():
-        problem = synthetic_problem(wavy, [-5.0] * d, [5.0] * d)
-        recorder = RecordingProblem(problem)
+        bounds = Bounds(np.full(d, -5.0), np.full(d, 5.0))
+        recorder = RecordingObjective(wavy)
         mean = np.full(d, start)
         best = Solution(mean.copy(), float(wavy(mean[None, :])[0]), 0)
         state = CoreSearchState(
             mean=mean, stddev=np.full(d, spread), c_mult=1.0,
             pop_size=pop_size, nis=0, best=best, prev_mean=mean.copy(),
-            generation=0, bounds=problem.bounds)
-        return (state, Evaluator(recorder.problem), recorder,
+            generation=0, bounds=bounds)
+        return (state, Evaluator(recorder, bounds, BIG), recorder,
                 np.random.default_rng(d * 100 + pop_size))
 
     fast, fast_ev, fast_rec, fast_rng = side()
@@ -289,23 +282,20 @@ def test_step_matches_reference_bit_for_bit(d, pop_size, start, spread):
 
 
 def test_fresh_wide_state_not_terminated():
-    problem = offset_bowl_problem()
-    state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
+    state = init_core_search(unit_spread_cluster(), 10, WIDE)
     state = dataclasses.replace(state, stddev=np.array([10.0]))  # 10% range
     assert core_search_terminated(state) is False
 
 
 def test_terminates_on_parameter_collapse():
-    problem = offset_bowl_problem()
-    state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
+    state = init_core_search(unit_spread_cluster(), 10, WIDE)
     state = dataclasses.replace(state, stddev=np.array([1e-13 * 100.0]))
     assert core_search_terminated(state) is True
 
 
 def test_terminates_on_long_no_improvement_stretch():
-    problem = offset_bowl_problem()
-    state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
-    d = problem.bounds.d
+    state = init_core_search(unit_spread_cluster(), 10, WIDE)
+    d = WIDE.d
     assert core_search_terminated(
         dataclasses.replace(state, nis=25 + d)) is False
     assert core_search_terminated(
@@ -313,8 +303,7 @@ def test_terminates_on_long_no_improvement_stretch():
 
 
 def test_terminates_on_flat_selection_and_on_flag():
-    problem = offset_bowl_problem()
-    state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
+    state = init_core_search(unit_spread_cluster(), 10, WIDE)
     assert core_search_terminated(
         dataclasses.replace(state, selection_spread=1e-13)) is True
     assert core_search_terminated(
@@ -330,9 +319,8 @@ def test_converges_to_the_offset_peak_in_nearly_all_runs():
     100 seeded runs."""
     hits = 0
     for seed in range(100):
-        problem = offset_bowl_problem(budget=5000)
-        ev = Evaluator(problem)
-        state = init_core_search(unit_spread_cluster(), 10, problem.bounds)
+        ev = Evaluator(OFFSET_BOWL, WIDE, 5000)
+        state = init_core_search(unit_spread_cluster(), 10, WIDE)
         rng = np.random.default_rng(seed)
         while not core_search_terminated(state):
             state = core_search_step(state, ev, rng)

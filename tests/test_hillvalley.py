@@ -15,10 +15,10 @@ from hillvallea.hillvalley import (expected_edge_length,
                                    n_test_points)
 from hillvallea.problems.evaluator import (BudgetExhaustedError, Evaluator,
                                            Solution)
-from hillvallea.problems.suite import make_problem
+from hillvallea.problems.functions import shubert
 
-from conftest import (RecordingProblem, bowl_problem, make_solutions,
-                      sorted_selection, synthetic_problem)
+from conftest import (BIG, EQUAL_MAXIMA, RecordingObjective, bowl,
+                      make_solutions, sorted_selection)
 
 
 # --- expected edge length ---------------------------------------------------
@@ -63,8 +63,9 @@ def test_single_test_point_exactly_when_closer_than_one_edge(dist, eel):
 
 
 def test_valley_between_equal_maxima_peaks():
-    rec = RecordingProblem(make_problem(2))
-    ev = Evaluator(rec.problem)
+    fn, bounds = EQUAL_MAXIMA
+    rec = RecordingObjective(fn)
+    ev = Evaluator(rec, bounds, BIG)
     a = Solution(np.array([0.1]), 1.0, 1)
     b = Solution(np.array([0.3]), 1.0, 2)
     assert hill_valley_test(ev, a, b, 1) is False
@@ -74,17 +75,16 @@ def test_valley_between_equal_maxima_peaks():
 
 
 def test_concave_pair_shares_the_bowl():
-    problem = bowl_problem(d=1)
-    ev = Evaluator(problem)
-    a, b = make_solutions(problem, np.array([[-1.0], [1.0]]))
+    fn, bounds = bowl(d=1)
+    ev = Evaluator(fn, bounds, BIG)
+    a, b = make_solutions(fn, np.array([[-1.0], [1.0]]))
     assert a.f == b.f == -1.0
     assert hill_valley_test(ev, a, b, 3) is True
     assert ev.evals_used == 3
 
 
 def test_identical_endpoints_cost_nothing():
-    problem = bowl_problem(d=2)
-    ev = Evaluator(problem)
+    ev = Evaluator(*bowl(d=2), BIG)
     a = Solution(np.array([0.5, 0.5]), -0.5, 1)
     b = Solution(np.array([0.5, 0.5]), -0.5, 2)
     assert hill_valley_test(ev, a, a, 5) is True
@@ -93,29 +93,28 @@ def test_identical_endpoints_cost_nothing():
 
 
 def test_valley_test_short_circuits_on_first_barrier():
-    problem = make_problem(2)
-    ev = Evaluator(problem)
-    a, b = make_solutions(problem, np.array([[0.1], [0.9]]))
+    fn, bounds = EQUAL_MAXIMA
+    ev = Evaluator(fn, bounds, BIG)
+    a, b = make_solutions(fn, np.array([[0.1], [0.9]]))
     assert hill_valley_test(ev, a, b, 10) is False
     assert ev.evals_used == 1
 
 
 def test_valley_test_probes_identical_points_in_both_directions():
-    problem = make_problem(2)
-    a, b = make_solutions(problem, np.array([[0.13], [0.82]]))
-    rec_ab = RecordingProblem(problem)
-    rec_ba = RecordingProblem(problem)
-    v_ab = hill_valley_test(Evaluator(rec_ab.problem), a, b, 7)
-    v_ba = hill_valley_test(Evaluator(rec_ba.problem), b, a, 7)
+    fn, bounds = EQUAL_MAXIMA
+    a, b = make_solutions(fn, np.array([[0.13], [0.82]]))
+    rec_ab = RecordingObjective(fn)
+    rec_ba = RecordingObjective(fn)
+    v_ab = hill_valley_test(Evaluator(rec_ab, bounds, BIG), a, b, 7)
+    v_ba = hill_valley_test(Evaluator(rec_ba, bounds, BIG), b, a, 7)
     assert v_ab == v_ba
     np.testing.assert_array_equal(rec_ab.stream(), rec_ba.stream())
 
 
 def test_valley_test_propagates_budget_exhaustion():
-    import dataclasses
-    problem = dataclasses.replace(bowl_problem(d=1), budget=2)
-    ev = Evaluator(problem)
-    a, b = make_solutions(problem, np.array([[-1.0], [1.0]]))
+    fn, bounds = bowl(d=1)
+    ev = Evaluator(fn, bounds, 2)
+    a, b = make_solutions(fn, np.array([[-1.0], [1.0]]))
     with pytest.raises(BudgetExhaustedError):
         hill_valley_test(ev, a, b, 3)
     assert ev.evals_used == 2
@@ -125,36 +124,36 @@ def test_valley_test_propagates_budget_exhaustion():
 
 
 def test_singleton_selection_forms_one_cluster():
-    problem = bowl_problem(d=2)
-    ev = Evaluator(problem)
-    sel = make_solutions(problem, np.array([[1.0, 1.0]]))
-    clusters = hill_valley_clustering(sel, ev, problem.bounds)
+    fn, bounds = bowl(d=2)
+    ev = Evaluator(fn, bounds, BIG)
+    sel = make_solutions(fn, np.array([[1.0, 1.0]]))
+    clusters = hill_valley_clustering(sel, ev, bounds)
     assert len(clusters) == 1
     assert clusters[0] == sel
     assert ev.evals_used == 0
 
 
 def test_clustering_rejects_empty_selection():
-    problem = bowl_problem(d=1)
+    fn, bounds = bowl(d=1)
     with pytest.raises(ValueError):
-        hill_valley_clustering([], Evaluator(problem), problem.bounds)
+        hill_valley_clustering([], Evaluator(fn, bounds, BIG), bounds)
 
 
 def test_clustering_rejects_unsorted_selection():
-    problem = bowl_problem(d=1)
-    sel = make_solutions(problem, np.array([[2.0], [0.5]]))  # ascending f
+    fn, bounds = bowl(d=1)
+    sel = make_solutions(fn, np.array([[2.0], [0.5]]))  # ascending f
     assert sel[0].f < sel[1].f
     with pytest.raises(ValueError):
-        hill_valley_clustering(sel, Evaluator(problem), problem.bounds)
+        hill_valley_clustering(sel, Evaluator(fn, bounds, BIG), bounds)
 
 
 def test_equal_maxima_selection_splits_into_five_niches():
-    problem = make_problem(2)
+    fn, bounds = EQUAL_MAXIMA
     peaks = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
     neighbors = peaks + 0.02
-    sel = sorted_selection(problem, np.vstack([peaks, neighbors]))
-    ev = Evaluator(problem)
-    clusters = hill_valley_clustering(sel, ev, problem.bounds)
+    sel = sorted_selection(fn, np.vstack([peaks, neighbors]))
+    ev = Evaluator(fn, bounds, BIG)
+    clusters = hill_valley_clustering(sel, ev, bounds)
     assert len(clusters) == 5
     for cluster in clusters:
         assert len(cluster) == 2
@@ -166,25 +165,24 @@ def test_equal_maxima_selection_splits_into_five_niches():
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_concave_bowl_always_one_cluster(d):
-    problem = bowl_problem(d=d)
+    fn, bounds = bowl(d=d)
     rng = np.random.default_rng(d)
     for size in (2, 7, 40):
-        sel = sorted_selection(problem,
-                               rng.uniform(-5.0, 5.0, size=(size, d)))
-        clusters = hill_valley_clustering(sel, Evaluator(problem),
-                                          problem.bounds)
+        sel = sorted_selection(fn, rng.uniform(-5.0, 5.0, size=(size, d)))
+        clusters = hill_valley_clustering(sel, Evaluator(fn, bounds, BIG),
+                                          bounds)
         assert len(clusters) == 1
         assert len(clusters[0]) == size
 
 
 def test_clustering_is_a_partition_on_rugged_landscapes():
-    problem = make_problem(6)  # many separated peaks
+    bounds = Bounds(np.full(2, -10.0), np.full(2, 10.0))
     rng = np.random.default_rng(99)
-    for size in (3, 17, 60):
-        sel = sorted_selection(problem,
+    for size in (3, 17, 60):  # Shubert has many separated peaks
+        sel = sorted_selection(shubert,
                                rng.uniform(-10.0, 10.0, size=(size, 2)))
-        clusters = hill_valley_clustering(sel, Evaluator(problem),
-                                          problem.bounds)
+        clusters = hill_valley_clustering(
+            sel, Evaluator(shubert, bounds, BIG), bounds)
         seen_ids = [id(m) for c in clusters for m in c]
         assert sorted(seen_ids) == sorted(id(s) for s in sel)
         assert len(seen_ids) == size
@@ -207,9 +205,7 @@ def test_force_accept_consumes_zero_evaluations():
         xs.append(np.clip(xs[-1] + step, 0.0, 1.0))
     sel = [Solution(np.array(x), float(n - i), i + 1)
            for i, x in enumerate(xs)]
-    problem = synthetic_problem(lambda a: np.zeros(len(a)), np.zeros(d),
-                                np.ones(d), budget=0)
-    ev = Evaluator(problem)
+    ev = Evaluator(lambda a: np.zeros(len(a)), bounds, 0)
     clusters = hill_valley_clustering(sel, ev, bounds)
     assert ev.evals_used == 0
     assert len(clusters) == 1
@@ -220,12 +216,12 @@ def test_force_accept_joins_the_nearest_better_cluster():
     """A worse-half point lands in the cluster of its nearest better
     solution untested; six selection points keep the edge length (1/6)
     below the 0.2 peak spacing so only the straggler merges cheaply."""
-    problem = make_problem(2)
+    fn, bounds = EQUAL_MAXIMA
     peaks = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
     straggler = np.array([[0.72]])  # within one edge length of 0.7
-    sel = sorted_selection(problem, np.vstack([peaks, straggler]))
-    ev = Evaluator(problem)
-    clusters = hill_valley_clustering(sel, ev, problem.bounds)
+    sel = sorted_selection(fn, np.vstack([peaks, straggler]))
+    ev = Evaluator(fn, bounds, BIG)
+    clusters = hill_valley_clustering(sel, ev, bounds)
     assert len(clusters) == 5
     straggler_cluster = next(
         c for c in clusters
@@ -234,15 +230,13 @@ def test_force_accept_joins_the_nearest_better_cluster():
 
 
 def test_budget_exhaustion_leaves_singletons():
-    import dataclasses
-    base = make_problem(2)
-    problem = dataclasses.replace(base, budget=2)
+    fn, bounds = EQUAL_MAXIMA
     # Five well-separated peaks force real valley tests; after two
     # evaluations the budget dies and the tail becomes singletons.
     peaks = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
-    sel = sorted_selection(base, peaks)
-    ev = Evaluator(problem)
-    clusters = hill_valley_clustering(sel, ev, problem.bounds)
+    sel = sorted_selection(fn, peaks)
+    ev = Evaluator(fn, bounds, 2)
+    clusters = hill_valley_clustering(sel, ev, bounds)
     assert ev.evals_used == 2
     # Still a partition of all five.
     seen_ids = [id(m) for c in clusters for m in c]
@@ -316,16 +310,16 @@ def rugged_fn(freq: float):
     return fn
 
 
-def assert_routes_agree(problem, xs):
-    sel = sorted_selection(problem, xs)
-    rec_new = RecordingProblem(problem)
-    rec_ref = RecordingProblem(problem)
-    ev_new = Evaluator(rec_new.problem)
-    ev_ref = Evaluator(rec_ref.problem)
+def assert_routes_agree(fn, bounds, budget, xs):
+    sel = sorted_selection(fn, xs)
+    rec_new = RecordingObjective(fn)
+    rec_ref = RecordingObjective(fn)
+    ev_new = Evaluator(rec_new, bounds, budget)
+    ev_ref = Evaluator(rec_ref, bounds, budget)
 
-    clusters = hill_valley_clustering(sel, ev_new, problem.bounds)
+    clusters = hill_valley_clustering(sel, ev_new, bounds)
     got = cluster_assignment(clusters, sel)
-    want = reference_clustering(sel, ev_ref, problem.bounds)
+    want = reference_clustering(sel, ev_ref, bounds)
 
     assert got == want
     assert ev_new.evals_used == ev_ref.evals_used
@@ -340,19 +334,17 @@ def test_clustering_routes_agree_exactly(d):
     put exact distance ties at the head cut; at d = 10 numpy sums the
     squared differences pairwise."""
     rng = np.random.default_rng(1000 + d)
-    lower, upper = np.full(d, -3.0), np.full(d, 3.0)
+    bounds = Bounds(np.full(d, -3.0), np.full(d, 3.0))
     for size in (1, 2, 3, 10, 33, 64):
         for budget in (0, 3, 25, 10**9):
             freq = float(rng.integers(1, 5))
             xs = rng.uniform(-3.0, 3.0, size=(size, d))
             if size >= 4:
                 xs[-1] = xs[0]  # exact duplicate point
-            assert_routes_agree(synthetic_problem(
-                rugged_fn(freq), lower, upper, budget=budget), xs)
+            assert_routes_agree(rugged_fn(freq), bounds, budget, xs)
     for size in (200, 500):
         uniform = rng.uniform(-3.0, 3.0, size=(size, d))
         grid = rng.integers(-6, 7, size=(size, d)) * 0.5
         for xs in (uniform, grid):
             for freq in (2.0, 30.0):
-                assert_routes_agree(synthetic_problem(
-                    rugged_fn(freq), lower, upper), xs)
+                assert_routes_agree(rugged_fn(freq), bounds, BIG, xs)

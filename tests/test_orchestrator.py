@@ -17,7 +17,8 @@ from hillvallea.problems.evaluator import Evaluator, Solution
 from hillvallea.problems.suite import make_problem
 from hillvallea.scoring import count_distinct_global
 
-from conftest import RecordingProblem, bowl_problem, make_solutions
+from conftest import (BIG, EQUAL_MAXIMA, RecordingObjective, bowl,
+                      make_solutions)
 
 
 # --- restart parameters -----------------------------------------------------
@@ -75,11 +76,11 @@ def test_cluster_pop_size():
 
 
 def test_empty_archive_always_accepts():
-    problem = make_problem(2)
-    ev = Evaluator(problem)
+    fn, bounds = EQUAL_MAXIMA
+    ev = Evaluator(fn, bounds, BIG)
     elites = []
-    (candidate,) = make_solutions(problem, np.array([[0.1]]), start_index=5)
-    update_elite_archive(elites, candidate, ev, problem.bounds)
+    (candidate,) = make_solutions(fn, np.array([[0.1]]), start_index=5)
+    update_elite_archive(elites, candidate, ev, bounds)
     assert len(elites) == 1
     assert elites[0].x is candidate.x and elites[0].f == candidate.f
     assert elites[0].eval_index == 0  # stamped with the current counter
@@ -87,39 +88,39 @@ def test_empty_archive_always_accepts():
 
 
 def test_identical_candidate_keeps_the_incumbent():
-    problem = make_problem(2)
-    ev = Evaluator(problem)
+    fn, bounds = EQUAL_MAXIMA
+    ev = Evaluator(fn, bounds, BIG)
     elites = []
-    (elite,) = make_solutions(problem, np.array([[0.1]]), start_index=1)
-    update_elite_archive(elites, elite, ev, problem.bounds)
+    (elite,) = make_solutions(fn, np.array([[0.1]]), start_index=1)
+    update_elite_archive(elites, elite, ev, bounds)
     incumbent = elites[0]
     twin = Solution(elite.x.copy(), elite.f, 99)
-    update_elite_archive(elites, twin, ev, problem.bounds)
+    update_elite_archive(elites, twin, ev, bounds)
     assert elites == [incumbent]
     assert ev.evals_used == 0  # resolved by the duplicate-distance gate
 
 
 def test_two_separated_peaks_both_archived():
-    problem = make_problem(2)
-    ev = Evaluator(problem)
+    fn, bounds = EQUAL_MAXIMA
+    ev = Evaluator(fn, bounds, BIG)
     elites = []
-    first, second = make_solutions(problem, np.array([[0.1], [0.3]]))
-    update_elite_archive(elites, first, ev, problem.bounds)
-    update_elite_archive(elites, second, ev, problem.bounds)
+    first, second = make_solutions(fn, np.array([[0.1], [0.3]]))
+    update_elite_archive(elites, first, ev, bounds)
+    update_elite_archive(elites, second, ev, bounds)
     assert len(elites) == 2
     assert ev.evals_used == 1  # one valley probe at the midpoint
     assert [e.eval_index for e in elites] == [0, 1]
 
 
 def test_same_niche_replacement_reorders_by_acceptance():
-    problem = make_problem(2)
-    ev = Evaluator(problem)
-    off_peak, peak_b = make_solutions(problem, np.array([[0.12], [0.3]]),
+    fn, bounds = EQUAL_MAXIMA
+    ev = Evaluator(fn, bounds, BIG)
+    off_peak, peak_b = make_solutions(fn, np.array([[0.12], [0.3]]),
                                       start_index=10)
     peak_b.eval_index = 20
     elites = [off_peak, peak_b]
-    (challenger,) = make_solutions(problem, np.array([[0.1]]), start_index=30)
-    update_elite_archive(elites, challenger, ev, problem.bounds)
+    (challenger,) = make_solutions(fn, np.array([[0.1]]), start_index=30)
+    update_elite_archive(elites, challenger, ev, bounds)
     # The challenger beat its same-niche neighbor (0.12) and re-enters
     # the acceptance order at its own evaluation index.
     assert elites == [peak_b, challenger]
@@ -127,40 +128,40 @@ def test_same_niche_replacement_reorders_by_acceptance():
 
 
 def test_replacement_tied_with_an_acceptance_index_keeps_list_order():
-    problem = make_problem(2)
-    ev = Evaluator(problem)
+    fn, bounds = EQUAL_MAXIMA
+    ev = Evaluator(fn, bounds, BIG)
     off_peak, peak_b, peak_c = make_solutions(
-        problem, np.array([[0.12], [0.3], [0.5]]), start_index=10)
+        fn, np.array([[0.12], [0.3], [0.5]]), start_index=10)
     peak_b.eval_index, peak_c.eval_index = 20, 25
     elites = [off_peak, peak_b, peak_c]
-    (challenger,) = make_solutions(problem, np.array([[0.1]]), start_index=20)
-    update_elite_archive(elites, challenger, ev, problem.bounds)
+    (challenger,) = make_solutions(fn, np.array([[0.1]]), start_index=20)
+    update_elite_archive(elites, challenger, ev, bounds)
     # The challenger takes the first slot with peak_b's index; the sort
     # is stable, so it stays ahead of peak_b.
     assert elites == [challenger, peak_b, peak_c]
 
 
 def test_losing_same_niche_candidate_changes_nothing():
-    problem = bowl_problem(d=1)
-    ev = Evaluator(problem)
+    fn, bounds = bowl(d=1)
+    ev = Evaluator(fn, bounds, BIG)
     elites = []
-    best, worse = make_solutions(problem, np.array([[0.1], [0.4]]))
-    update_elite_archive(elites, best, ev, problem.bounds)
+    best, worse = make_solutions(fn, np.array([[0.1], [0.4]]))
+    update_elite_archive(elites, best, ev, bounds)
     incumbent = elites[0]
     before = ev.evals_used
-    update_elite_archive(elites, worse, ev, problem.bounds)
+    update_elite_archive(elites, worse, ev, bounds)
     assert elites == [incumbent]
     assert ev.evals_used > before  # a real test ran, same basin won
 
 
 def test_exhausted_budget_leaves_archive_unchanged():
-    problem = dataclasses.replace(bowl_problem(d=1), budget=0)
-    ev = Evaluator(problem)
+    fn, bounds = bowl(d=1)
+    ev = Evaluator(fn, bounds, 0)
     elites = []
-    near, far = make_solutions(problem, np.array([[0.1], [3.0]]))
-    update_elite_archive(elites, near, ev, problem.bounds)  # empty: free
+    near, far = make_solutions(fn, np.array([[0.1], [3.0]]))
+    update_elite_archive(elites, near, ev, bounds)  # empty: free
     before = list(elites)
-    update_elite_archive(elites, far, ev, problem.bounds)
+    update_elite_archive(elites, far, ev, bounds)
     assert elites == before
     assert [e.eval_index for e in elites] == [0]
     assert ev.evals_used == 0
@@ -223,9 +224,9 @@ def test_next_restart_history_labels_each_selected_point_by_its_cluster(
         partitions.append((selection, clusters))
         return clusters
 
-    def sampling(n, bounds, history, rng):
-        histories.append(history)
-        return sample_fn(n, bounds, history, rng)
+    def sampling(n, bounds, points, labels, rng):
+        histories.append((points, labels))
+        return sample_fn(n, bounds, points, labels, rng)
 
     monkeypatch.setattr(orchestrator, "hill_valley_clustering", clustering)
     monkeypatch.setattr(orchestrator, "sample_initial_population", sampling)
@@ -233,19 +234,20 @@ def test_next_restart_history_labels_each_selected_point_by_its_cluster(
     # The history each restart samples against is the previous one's.
     assert len(histories[1:]) >= 2
     assert any(len(clusters) > 1 for _, clusters in partitions)
-    for (selection, clusters), history in zip(partitions, histories[1:]):
+    for (selection, clusters), (points, labels) in zip(partitions,
+                                                       histories[1:]):
         label = {id(m): k for k, c in enumerate(clusters) for m in c}
-        by_point = {tuple(x): k for x, k in zip(history.points.tolist(),
-                                                history.labels.tolist())}
-        assert len(history) == len(by_point) == len(selection)
+        by_point = {tuple(x): k for x, k in zip(points.tolist(),
+                                                labels.tolist())}
+        assert len(points) == len(labels) == len(by_point) == len(selection)
         for s in selection:
             assert by_point[tuple(s.x.tolist())] == label[id(s)]
 
 
 def test_run_respects_budget_exactly():
-    rec = RecordingProblem(
-        dataclasses.replace(make_problem(2), budget=3000))
-    elites = run(rec.problem, seed=4)
+    problem = make_problem(2)
+    rec = RecordingObjective(problem.fn)
+    elites = run(dataclasses.replace(problem, fn=rec, budget=3000), seed=4)
     assert rec.n_evals <= 3000
     assert len(elites) >= 1
     assert all(1 <= e.eval_index <= 3000 for e in elites)
@@ -254,7 +256,8 @@ def test_run_respects_budget_exactly():
 def test_run_scaling_modes_complete():
     problem = dataclasses.replace(make_problem(4), budget=4000)
     for mode in ("with-d", "literal"):
-        rec = RecordingProblem(problem)
-        elites = run(rec.problem, seed=1, xi_scaling=mode)
+        rec = RecordingObjective(problem.fn)
+        elites = run(dataclasses.replace(problem, fn=rec), seed=1,
+                     xi_scaling=mode)
         assert rec.n_evals <= 4000
         assert len(elites) >= 1

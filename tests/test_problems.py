@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from hillvallea.problems.suite import (DEFAULT_DATA_DIR, InvalidProblemError,
                                        MissingDataError, PROBLEM_IDS,
                                        make_problem)
 
-from conftest import synthetic_problem
+from conftest import BIG, EQUAL_MAXIMA
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -103,7 +102,7 @@ def test_composition_peaks_at_exactly_zero(pid):
 
 def test_equal_maxima_peak_value():
     p = make_problem(2)
-    ev = Evaluator(p)
+    ev = Evaluator(p.fn, p.bounds, p.budget)
     assert ev.evaluate(np.array([0.1])) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -116,7 +115,7 @@ def test_equal_maxima_peaks_and_troughs():
 
 def test_five_uneven_peak_trap_piecewise_values():
     p = make_problem(1)
-    ev = Evaluator(p)
+    ev = Evaluator(p.fn, p.bounds, p.budget)
     assert ev.evaluate(np.array([0.0])) == 200.0
     xs = np.array([[2.5], [5.0], [27.5], [30.0]])
     np.testing.assert_allclose(
@@ -189,8 +188,7 @@ def test_every_package_data_glob_matches_a_file():
 
 
 def test_budget_exhaustion_signals():
-    p = dataclasses.replace(make_problem(2), budget=3)
-    ev = Evaluator(p)
+    ev = Evaluator(*EQUAL_MAXIMA, 3)
     for _ in range(3):
         ev.evaluate(np.array([0.5]))
     assert ev.remaining == 0
@@ -200,8 +198,7 @@ def test_budget_exhaustion_signals():
 
 
 def test_out_of_bounds_rejected_without_consuming():
-    p = make_problem(2)
-    ev = Evaluator(p)
+    ev = Evaluator(*EQUAL_MAXIMA, BIG)
     with pytest.raises(OutOfBoundsError):
         ev.evaluate(np.array([1.5]))
     with pytest.raises(OutOfBoundsError):
@@ -210,15 +207,14 @@ def test_out_of_bounds_rejected_without_consuming():
 
 
 def test_evaluate_is_deterministic():
-    p = make_problem(4)
-    ev = Evaluator(p)
+    box = Bounds(np.full(2, -6.0), np.full(2, 6.0))
+    ev = Evaluator(functions.himmelblau, box, BIG)
     x = np.array([1.234, -2.345])
     assert ev.evaluate(x) == ev.evaluate(x)
 
 
 def test_batch_evaluation_is_all_or_nothing():
-    p = dataclasses.replace(make_problem(2), budget=5)
-    ev = Evaluator(p)
+    ev = Evaluator(*EQUAL_MAXIMA, 5)
     xs = np.full((6, 1), 0.5)
     with pytest.raises(BudgetExhaustedError):
         ev.evaluate_batch(xs)
@@ -228,8 +224,7 @@ def test_batch_evaluation_is_all_or_nothing():
 
 
 def test_batch_indices_are_consecutive_row_order():
-    p = make_problem(2)
-    ev = Evaluator(p)
+    ev = Evaluator(*EQUAL_MAXIMA, BIG)
     ev.evaluate(np.array([0.2]))
     xs = np.array([[0.6], [0.1], [0.4]])
     fs = ev.evaluate_batch(xs)
@@ -240,16 +235,14 @@ def test_batch_indices_are_consecutive_row_order():
 
 
 def test_batch_rejects_out_of_bounds_without_consuming():
-    p = make_problem(2)
-    ev = Evaluator(p)
+    ev = Evaluator(*EQUAL_MAXIMA, BIG)
     with pytest.raises(OutOfBoundsError):
         ev.evaluate_batch(np.array([[0.5], [1.5]]))
     assert ev.evals_used == 0
 
 
 def test_empty_batch_is_free():
-    p = make_problem(2)
-    ev = Evaluator(p)
+    ev = Evaluator(*EQUAL_MAXIMA, BIG)
     assert len(ev.evaluate_batch(np.empty((0, 1)))) == 0
     assert ev.evals_used == 0
 
@@ -261,10 +254,7 @@ def scripted_evaluator():
     """An evaluator on [0, 1] whose objective returns whatever
     `out["fs"]` holds, whatever it is asked."""
     out = {}
-    problem = synthetic_problem(lambda xs: out["fs"], [0.0], [1.0],
-                                optima_positions=[[0.5]],
-                                optima_fitness=[0.0])
-    return Evaluator(problem), out
+    return Evaluator(lambda xs: out["fs"], EQUAL_MAXIMA[1], BIG), out
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -289,16 +279,26 @@ def test_non_finite_output_raises_without_consuming(values, data):
     assert ev.evals_used == 3
 
 
+# Wrong outputs for m points: a column, one value too many, and the
+# right count in a list, which the error names by its type.
+WRONG_OUTPUTS = {
+    "column": lambda m: np.zeros((m, 1)),
+    "long": lambda m: np.zeros(m + 1),
+    "list": lambda m: [0.0] * m,
+}
+
+
 @settings(deadline=None, max_examples=100)
-@given(st.integers(1, 20), st.booleans())
-def test_wrongly_shaped_output_raises_without_consuming(m, column):
+@given(st.integers(1, 20), st.sampled_from(sorted(WRONG_OUTPUTS)))
+def test_wrongly_shaped_output_raises_without_consuming(m, kind):
     ev, out = scripted_evaluator()
-    out["fs"] = np.zeros((m, 1)) if column else np.zeros(m + 1)
-    with pytest.raises(ValueError, match="shape"):
+    message = "list" if kind == "list" else "shape"
+    out["fs"] = WRONG_OUTPUTS[kind](m)
+    with pytest.raises(ValueError, match=message):
         ev.evaluate_batch(np.full((m, 1), 0.5))
     assert ev.evals_used == 0
-    out["fs"] = np.zeros((1, 1)) if column else np.zeros(2)
-    with pytest.raises(ValueError, match="shape"):
+    out["fs"] = WRONG_OUTPUTS[kind](1)
+    with pytest.raises(ValueError, match=message):
         ev.evaluate(np.array([0.5]))
     assert ev.evals_used == 0
 
@@ -324,6 +324,8 @@ def test_bounds_validation():
         Bounds(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         Bounds(np.array([0.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        Bounds(np.array([0.0]), np.array([np.inf]))
 
 
 def test_bounds_geometry():

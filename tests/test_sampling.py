@@ -12,12 +12,13 @@ from scipy.spatial import cKDTree
 
 import hillvallea.sampling as sampling
 from hillvallea.bounds import Bounds
-from hillvallea.sampling import (EMPTY_HISTORY, LabeledHistory,
-                                 greedy_scattered_subset, rejection_sample,
+from hillvallea.sampling import (greedy_scattered_subset, rejection_sample,
                                  sample_initial_population, sample_uniform)
 
 UNIT_SQUARE = Bounds(np.zeros(2), np.ones(2))
 UNIT_LINE = Bounds(np.zeros(1), np.ones(1))
+# the history points and labels a run's first restart samples against
+NO_HISTORY = np.empty((0, 2)), np.empty(0, dtype=np.intp)
 
 
 # --- uniform sampling ------------------------------------------------------
@@ -43,14 +44,9 @@ def test_sample_uniform_deterministic():
 # --- rejection sampling ----------------------------------------------------
 
 
-def test_labeled_history_validates_lengths():
-    with pytest.raises(ValueError):
-        LabeledHistory(np.zeros((3, 1)), np.zeros(2, dtype=int))
-
-
 def test_empty_history_degenerates_to_uniform():
     uniform = sample_uniform(25, UNIT_SQUARE, np.random.default_rng(3))
-    rejected = rejection_sample(25, UNIT_SQUARE, EMPTY_HISTORY,
+    rejected = rejection_sample(25, UNIT_SQUARE, *NO_HISTORY,
                                 np.random.default_rng(3))
     np.testing.assert_array_equal(uniform, rejected)
 
@@ -69,9 +65,9 @@ def count_draws(monkeypatch) -> dict:
     return counter
 
 
-def single_label_history(m: int, bounds: Bounds, seed: int) -> LabeledHistory:
+def single_label_history(m: int, bounds: Bounds, seed: int):
     pts = sample_uniform(m, bounds, np.random.default_rng(seed))
-    return LabeledHistory(pts, np.zeros(m, dtype=int))
+    return pts, np.zeros(m, dtype=int)
 
 
 def test_single_cluster_history_rejects_ninety_percent(monkeypatch):
@@ -80,7 +76,7 @@ def test_single_cluster_history_rejects_ninety_percent(monkeypatch):
     ten thousand raw draws lands within 0.02 of 0.9."""
     history = single_label_history(50, UNIT_SQUARE, seed=11)
     counter = count_draws(monkeypatch)
-    out = rejection_sample(1000, UNIT_SQUARE, history,
+    out = rejection_sample(1000, UNIT_SQUARE, *history,
                            np.random.default_rng(42))
     assert out.shape == (1000, 2)
     draws = counter["draws"]
@@ -92,20 +88,19 @@ def test_single_cluster_history_rejects_ninety_percent(monkeypatch):
 def test_two_cluster_history_never_rejects_on_the_boundary_mix(monkeypatch):
     """Neighbors from different clusters disarm the rejection gate."""
     pts = np.array([[0.25, 0.5], [0.75, 0.5]])
-    history = LabeledHistory(pts, np.array([0, 1]))
     # d+1 = 3 > |history| = 2: both neighbors are always the full set,
     # labels differ, so nothing is ever rejected.
     counter = count_draws(monkeypatch)
-    rejection_sample(500, UNIT_SQUARE, history, np.random.default_rng(5))
+    rejection_sample(500, UNIT_SQUARE, pts, np.array([0, 1]),
+                     np.random.default_rng(5))
     assert counter["draws"] == 500
 
 
 def test_short_history_with_one_label_still_rejects(monkeypatch):
     """Fewer history points than d+1 still gate on the available ones."""
-    history = LabeledHistory(np.array([[0.5, 0.5]]), np.array([3]))
     counter = count_draws(monkeypatch)
-    out = rejection_sample(300, UNIT_SQUARE, history,
-                           np.random.default_rng(6))
+    out = rejection_sample(300, UNIT_SQUARE, np.array([[0.5, 0.5]]),
+                           np.array([3]), np.random.default_rng(6))
     assert out.shape == (300, 2)
     assert counter["draws"] - 300 > 0
 
@@ -116,7 +111,7 @@ def test_redraw_cap_accepts_unconditionally(monkeypatch):
     monkeypatch.setattr(sampling, "REJECTION_PROBABILITY", 1.0)
     history = single_label_history(10, UNIT_SQUARE, seed=2)
     counter = count_draws(monkeypatch)
-    out = rejection_sample(7, UNIT_SQUARE, history, np.random.default_rng(0))
+    out = rejection_sample(7, UNIT_SQUARE, *history, np.random.default_rng(0))
     assert out.shape == (7, 2)
     assert np.all((out >= 0.0) & (out <= 1.0))
     assert counter["draws"] == 7 * (sampling.MAX_REDRAWS + 1)
@@ -127,8 +122,7 @@ def test_rejection_output_always_in_bounds_and_sized():
     bounds = Bounds(np.array([-3.0, 2.0]), np.array([-1.0, 6.0]))
     pts = sample_uniform(40, bounds, np.random.default_rng(8))
     labels = np.arange(40) % 4
-    history = LabeledHistory(pts, labels)
-    out = rejection_sample(123, bounds, history, np.random.default_rng(9))
+    out = rejection_sample(123, bounds, pts, labels, np.random.default_rng(9))
     assert out.shape == (123, 2)
     assert np.all(out >= bounds.lower) and np.all(out <= bounds.upper)
 
@@ -144,9 +138,8 @@ def test_certified_cells_match_tree_route(d):
         pts = rng.uniform(size=(h, d))
         # region labels, as hill-valley clustering tends to produce
         labels = (pts[:, 0] * 3).astype(int) + 3 * (pts[:, -1] > 0.6)
-        history = LabeledHistory(pts, labels)
         q = rng.uniform(size=(5000, d))
-        fast = sampling._single_basin_test(history, bounds)(q)
+        fast = sampling._single_basin_test(pts, labels, bounds)(q)
         k = min(d + 1, h)
         idx = cKDTree(pts).query(q, k=k)[1].reshape(len(q), k)
         slow = (labels[idx] == labels[idx[:, :1]]).all(axis=1)
@@ -171,9 +164,8 @@ def test_certified_cells_see_past_a_dense_blob():
     lone = corner + width * 0.97
     pts = np.vstack((blob, lone))
     labels = np.r_[np.zeros(n_blob, dtype=int), 1]
-    history = LabeledHistory(pts, labels)
     q = corner + width * rng.uniform(size=(4000, 2))
-    fast = sampling._single_basin_test(history, UNIT_SQUARE)(q)
+    fast = sampling._single_basin_test(pts, labels, UNIT_SQUARE)(q)
     idx = cKDTree(pts).query(q, k=3)[1]
     slow = (labels[idx] == labels[idx[:, :1]]).all(axis=1)
     assert not slow.all()
@@ -183,9 +175,8 @@ def test_certified_cells_see_past_a_dense_blob():
 def test_rejection_one_dimensional_history_end_to_end(monkeypatch):
     pts = np.sort(np.random.default_rng(4).uniform(size=(30, 1)), axis=0)
     labels = (pts[:, 0] > 0.5).astype(int)
-    history = LabeledHistory(pts, labels)
     counter = count_draws(monkeypatch)
-    out = rejection_sample(400, UNIT_LINE, history,
+    out = rejection_sample(400, UNIT_LINE, pts, labels,
                            np.random.default_rng(10))
     assert out.shape == (400, 1)
     assert np.all((out >= 0.0) & (out <= 1.0))
@@ -354,14 +345,14 @@ def test_initial_population_of_one_keeps_the_scattered_draw():
     draws = sample_uniform(2, UNIT_SQUARE, np.random.default_rng(seed))
     centroid = draws.mean(axis=0)
     expected = draws[np.argmax(((draws - centroid) ** 2).sum(axis=1))]
-    out = sample_initial_population(1, UNIT_SQUARE, EMPTY_HISTORY,
+    out = sample_initial_population(1, UNIT_SQUARE, *NO_HISTORY,
                                     np.random.default_rng(seed))
     np.testing.assert_array_equal(out, expected[None, :])
 
 
 def test_initial_population_containment_and_size():
     bounds = Bounds(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
-    out = sample_initial_population(64, bounds, EMPTY_HISTORY,
+    out = sample_initial_population(64, bounds, *NO_HISTORY,
                                     np.random.default_rng(13))
     assert out.shape == (64, 2)
     assert np.all(out >= bounds.lower) and np.all(out <= bounds.upper)
@@ -369,14 +360,14 @@ def test_initial_population_containment_and_size():
 
 def test_initial_population_deterministic():
     history = single_label_history(20, UNIT_SQUARE, seed=1)
-    a = sample_initial_population(32, UNIT_SQUARE, history,
+    a = sample_initial_population(32, UNIT_SQUARE, *history,
                                   np.random.default_rng(55))
-    b = sample_initial_population(32, UNIT_SQUARE, history,
+    b = sample_initial_population(32, UNIT_SQUARE, *history,
                                   np.random.default_rng(55))
     np.testing.assert_array_equal(a, b)
 
 
 def test_initial_population_rejects_nonpositive_size():
     with pytest.raises(ValueError):
-        sample_initial_population(0, UNIT_SQUARE, EMPTY_HISTORY,
+        sample_initial_population(0, UNIT_SQUARE, *NO_HISTORY,
                                   np.random.default_rng(0))

@@ -64,19 +64,19 @@ def test_f1_bounded_by_its_inputs(pr, sr):
 
 def test_counts_all_peaks_of_equal_maxima():
     problem = make_problem(2)
-    sols = make_solutions(problem, problem.optima_positions)
+    sols = make_solutions(problem.fn, problem.optima_positions)
     assert count_distinct_global(sols, problem, eps=1e-5) == 5
 
 
 def test_duplicate_solutions_claim_one_peak():
     problem = make_problem(2)
-    sols = make_solutions(problem, np.array([[0.1], [0.1]]))
+    sols = make_solutions(problem.fn, np.array([[0.1], [0.1]]))
     assert count_distinct_global(sols, problem, eps=1e-5) == 1
 
 
 def test_three_of_five_peaks():
     problem = make_problem(2)
-    sols = make_solutions(problem, np.array([[0.1], [0.3], [0.5]]))
+    sols = make_solutions(problem.fn, np.array([[0.1], [0.3], [0.5]]))
     assert count_distinct_global(sols, problem, eps=1e-5) == 3
 
 
@@ -85,9 +85,9 @@ def test_position_gate_uses_niche_radius():
         flat_one, lower=[0.0], upper=[2.0],
         optima_positions=np.array([[0.0], [1.0]]),
         optima_fitness=np.array([1.0, 1.0]), niche_radius=0.1)
-    sols = make_solutions(problem, np.array([[0.25]]))
+    sols = make_solutions(problem.fn, np.array([[0.25]]))
     assert count_distinct_global(sols, problem, eps=1e-1) == 0
-    near = make_solutions(problem, np.array([[0.05]]))
+    near = make_solutions(problem.fn, np.array([[0.05]]))
     assert count_distinct_global(near, problem, eps=1e-1) == 1
 
 
@@ -96,7 +96,7 @@ def test_each_solution_claims_its_nearest_open_peak():
         flat_one, lower=[0.0], upper=[1.0],
         optima_positions=np.array([[0.0], [0.15]]),
         optima_fitness=np.array([1.0, 1.0]), niche_radius=0.2)
-    sols = make_solutions(problem, np.array([[0.04], [0.11]]))
+    sols = make_solutions(problem.fn, np.array([[0.04], [0.11]]))
     assert count_distinct_global(sols, problem, eps=1e-1) == 2
 
 
@@ -105,14 +105,15 @@ def test_count_never_exceeds_peaks_or_solutions():
     rng = np.random.default_rng(3)
     for n in (0, 1, 3, 9, 40):
         xs = rng.uniform(0.0, 1.0, size=(n, 1))
-        g = count_distinct_global(make_solutions(problem, xs), problem, 1e-1)
+        sols = make_solutions(problem.fn, xs)
+        g = count_distinct_global(sols, problem, 1e-1)
         assert g <= min(problem.n_global_optima, n)
 
 
 def test_count_is_monotone_in_accuracy_level():
     problem = make_problem(2)
     xs = np.array([[0.1], [0.3], [0.504], [0.9], [0.62]])
-    sols = make_solutions(problem, xs)
+    sols = make_solutions(problem.fn, xs)
     gs = [count_distinct_global(sols, problem, eps) for eps in ACCURACY_LEVELS]
     assert all(a >= b for a, b in zip(gs, gs[1:]))
     assert gs[0] > gs[-1]  # the off-peak points only pass loose levels
