@@ -65,6 +65,9 @@ class CoreSearchState:
     prev_mean: np.ndarray
     generation: int
     bounds: Bounds
+    # INIT_STDDEV_FLOOR, STEP_STDDEV_FLOOR and PARAM_TOL times the
+    # bounds' range, worked out once per search
+    floors: tuple[np.ndarray, np.ndarray, np.ndarray]
     terminated: bool = False
     selection_spread: float = np.inf
 
@@ -84,11 +87,13 @@ def init_core_search(cluster: list[Solution], pop_size: int,
         stddev = xs.std(axis=0, ddof=1)
     else:
         stddev = np.zeros(bounds.d)
-    stddev = np.maximum(stddev, INIT_STDDEV_FLOOR * bounds.range)
+    floors = (INIT_STDDEV_FLOOR * bounds.range,
+              STEP_STDDEV_FLOOR * bounds.range, PARAM_TOL * bounds.range)
+    stddev = np.maximum(stddev, floors[0])
     return CoreSearchState(
         mean=mean, stddev=stddev, c_mult=1.0, pop_size=pop_size, nis=0,
         best=cluster[0], prev_mean=mean.copy(), generation=0,
-        bounds=bounds,
+        bounds=bounds, floors=floors,
     )
 
 
@@ -108,7 +113,8 @@ def core_search_step(state: CoreSearchState, ev: Evaluator,
     cand_x = np.empty((pop + 1, bounds.d))
     xs = cand_x[:pop]
     rng.standard_normal(out=xs)
-    xs *= state.c_mult * state.stddev
+    scale = state.c_mult * state.stddev
+    xs *= scale
     xs += state.mean
     n_ams = int(AMS_FRACTION * pop)
     if state.generation > 0 and n_ams > 0:
@@ -125,7 +131,9 @@ def core_search_step(state: CoreSearchState, ev: Evaluator,
 
     n_sel = max(1, math.ceil(SELECTION_FRACTION * pop))
     sel = (-cand_f).argsort(kind="stable")[:n_sel]
-    spread = float(cand_f[sel[0]] - cand_f[sel[-1]])
+    sel_f = cand_f[sel]
+    spread = float(sel_f[0] - sel_f[-1])
+    selected = cand_x[sel]
 
     gen_best = int(fs.argmax())
     gen_best_f = float(fs[gen_best])
@@ -137,7 +145,9 @@ def core_search_step(state: CoreSearchState, ev: Evaluator,
 
     gain_floor = MATERIAL_GAIN_REL * max(1.0, abs(best_f))
     if gen_best_f > best_f + gain_floor:
-        improved = cand_x[sel[cand_f[sel] > best_f]]
+        # the selection is sorted fittest first, so the rows that beat
+        # the tracked best lead it
+        improved = selected[:np.count_nonzero(sel_f > best_f)]
         avg_improvement = np.add.reduce(improved, axis=0) / len(improved)
         # Improvement displacement measured in unmultiplied standard
         # deviations: an inflated model still registers far-flung
@@ -156,8 +166,7 @@ def core_search_step(state: CoreSearchState, ev: Evaluator,
         # scale alone; once narrower than any freshly initialized model
         # it is in terminal polish, where only a short streak is
         # tolerated before every stagnant generation shrinks it.
-        wide = np.count_nonzero(c_mult * state.stddev
-                                >= INIT_STDDEV_FLOOR * bounds.range) > 0
+        wide = np.count_nonzero(scale >= state.floors[0]) > 0
         hold = wide or nis <= STAGNATION_GRACE
         if c_mult > 1.0 or not hold:
             c_mult *= ETA_DEC
@@ -167,7 +176,6 @@ def core_search_step(state: CoreSearchState, ev: Evaluator,
 
     # ndarray.mean and ndarray.std(ddof=1) spelled out as the ufunc
     # calls they make, sharing the mean: same operations, same bits.
-    selected = cand_x[sel]
     new_mean = np.add.reduce(selected, axis=0)
     new_mean /= n_sel
     if n_sel > 1:
@@ -178,11 +186,11 @@ def core_search_step(state: CoreSearchState, ev: Evaluator,
         np.sqrt(new_stddev, out=new_stddev)
     else:
         new_stddev = np.zeros(bounds.d)
-    np.maximum(new_stddev, STEP_STDDEV_FLOOR * bounds.range, out=new_stddev)
+    np.maximum(new_stddev, state.floors[1], out=new_stddev)
 
     return CoreSearchState(new_mean, new_stddev, c_mult, pop, nis, best,
                            state.mean, state.generation + 1, bounds,
-                           False, spread)
+                           state.floors, False, spread)
 
 
 def core_search_terminated(state: CoreSearchState) -> bool:
@@ -190,7 +198,7 @@ def core_search_terminated(state: CoreSearchState) -> bool:
         return True
     if state.nis > nis_limit(state.bounds.d):
         return True
-    collapsed = state.c_mult * state.stddev < PARAM_TOL * state.bounds.range
+    collapsed = state.c_mult * state.stddev < state.floors[2]
     if np.count_nonzero(collapsed) == collapsed.size:
         return True
     return state.selection_spread < FITNESS_TOL

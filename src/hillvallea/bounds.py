@@ -24,7 +24,10 @@ class Bounds:
             raise ValueError("every bound must be finite")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
-        span = upper - lower
+        with np.errstate(over="ignore"):
+            span = upper - lower
+        if not np.isfinite(span).all():
+            raise ValueError("every bound range must be finite")
         for name, arr in (("lower", lower), ("upper", upper), ("range", span)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -42,21 +42,28 @@ class Evaluator:
         self._fn = fn
         self._lower = bounds.lower
         self._upper = bounds.upper
+        self._d = bounds.d
 
     @property
     def remaining(self) -> int:
         return self._budget - self.evals_used
 
     def evaluate(self, x: np.ndarray) -> float:
+        """Evaluate one point of shape (d,); a point of any other shape
+        raises ValueError and consumes nothing."""
         if self.evals_used >= self._budget:
             raise BudgetExhaustedError(
                 f"budget of {self._budget} evaluations exhausted")
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self._d,):
+            raise ValueError(f"point of shape {x.shape}, expected "
+                             f"({self._d},)")
         # np.count_nonzero is a C function; ndarray.any goes through a
         # Python wrapper that costs more than the comparison itself.
         if (np.count_nonzero(x < self._lower)
                 or np.count_nonzero(x > self._upper)):
             raise OutOfBoundsError(f"point {x!r} outside the bounds")
-        fs = _checked(self._fn(np.asarray(x, dtype=float)[None, :]), 1)
+        fs = _checked(self._fn(x[None, :]), 1)
         self.evals_used += 1
         return float(fs[0])
 
@@ -64,9 +71,13 @@ class Evaluator:
         """Evaluate all rows of xs, or none: raises the budget signal
         without consuming anything when fewer than len(xs) evaluations
         remain, so callers never see a partially timestamped batch.
-        Likewise a batch whose objective output is not n finite values
-        raises ValueError and consumes nothing."""
+        Likewise a batch whose shape is not (n, d), or whose objective
+        output is not n finite values, raises ValueError and consumes
+        nothing."""
         xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self._d:
+            raise ValueError(f"batch of shape {xs.shape}, expected "
+                             f"(n, {self._d})")
         n = xs.shape[0]
         if n == 0:
             return np.empty(0)

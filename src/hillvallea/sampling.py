@@ -4,6 +4,11 @@ Three stages feed each restart: uniform draws, rejection against the
 previous restart's clustered population (to bias away from basins that
 are already represented), and greedy scattered subset selection from 2N
 candidates down to N. None of these consume objective evaluations.
+
+In up to _GRID_MAX_D dimensions the rejection lookups and the subset
+run on grids of cells; every route draws and picks exactly what the
+plain definitions do, and the grids only decide how much work that
+takes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,17 @@ MAX_REDRAWS = 100
 
 def sample_uniform(n: int, bounds: Bounds,
                    rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.d))
+    """n points drawn uniformly from the box: the doubles of
+    rng.uniform(bounds.lower, bounds.upper, size=(n, d)), which takes
+    lower + range * u element by element, made a column at a time, as
+    numpy's broadcast over a short last axis costs several times the
+    draws themselves."""
+    out = rng.random((n, bounds.d))
+    for j in range(bounds.d):
+        col = out[:, j]
+        col *= bounds.range[j]
+        col += bounds.lower[j]
+    return out
 
 
 def rejection_sample(n: int, bounds: Bounds, points: np.ndarray,
@@ -44,14 +59,18 @@ def rejection_sample(n: int, bounds: Bounds, points: np.ndarray,
         m = len(unfilled)
         candidates = sample_uniform(m, bounds, rng)
         if round_no == MAX_REDRAWS:
-            out[unfilled] = candidates
-            break
-        reject = rng.uniform(size=m) < REJECTION_PROBABILITY
-        gated = np.flatnonzero(reject)
-        if len(gated):
-            reject[gated] = single_basin(candidates[gated])
-        accepted = unfilled[~reject]
-        out[accepted] = candidates[~reject]
+            reject = np.zeros(m, dtype=bool)
+        else:
+            reject = rng.uniform(size=m) < REJECTION_PROBABILITY
+            gated = np.flatnonzero(reject)
+            if len(gated):
+                reject[gated] = single_basin(candidates.take(gated, axis=0))
+        # rows move a column at a time (take for a gather), which numpy
+        # does several times faster than whole short rows
+        keep = np.flatnonzero(~reject)
+        slots = unfilled[keep]
+        for j in range(bounds.d):
+            out[:, j][slots] = candidates[:, j][keep]
         unfilled = unfilled[reject]
         if len(unfilled) == 0:
             break
@@ -59,13 +78,16 @@ def rejection_sample(n: int, bounds: Bounds, points: np.ndarray,
 
 
 # Both grids, the subset route's and the rejection lookups', span at
-# most _GRID_MAX_D axes. The lookups first consult about
-# _CELLS_PER_HISTORY_POINT cells per history point, each checked against
-# its _CERTIFY_NEIGHBORS nearest history points. Speed-only knobs: a
-# cell that cannot be certified falls back to the exact query.
+# most _GRID_MAX_D axes. The lookups use about _CELLS_PER_HISTORY_POINT
+# cells per history point. A cell that no window of cells certifies is
+# checked against its _CERTIFY_NEIGHBORS nearest history points, in tree
+# queries of _CELL_CHUNK cells; one that fails that check is split in two
+# along every axis. Speed-only knobs: a cell that cannot be certified
+# falls back to the exact query.
 _GRID_MAX_D = 3
 _CELLS_PER_HISTORY_POINT = 2
 _CERTIFY_NEIGHBORS = 32
+_CELL_CHUNK = 4096
 
 
 def _single_basin_test(points: np.ndarray, labels: np.ndarray,
@@ -87,7 +109,7 @@ def _single_basin_test(points: np.ndarray, labels: np.ndarray,
         out = certified[cell_of(q)]
         rest = np.flatnonzero(~out)
         if len(rest):
-            out[rest] = query(q[rest])
+            out[rest] = query(q.take(rest, axis=0))
         return out
 
     return test
@@ -102,32 +124,132 @@ def _single_label_cells(tree: cKDTree, labels: np.ndarray, bounds: Bounds,
     history points of any point in the cell lie within R_k(c) + 2 rho of
     c, R_k(c) being c's own k-th nearest distance. When every history
     point within that reach carries one label, so do the neighbors that
-    any query from the cell returns, however it breaks distance ties."""
+    any query from the cell returns, however it breaks distance ties.
+
+    Three checks establish it, cheapest first. A cell whose 3**d block
+    of cells holds k history points has R_k(c) <= 3 rho, so a reach of
+    at most 5 rho: a window of cells covering that ball that holds a
+    single label certifies the cell. Any other cell is checked against
+    its nearest history points. A cell that fails is split in two along
+    every axis; a half's reach lies inside the cell's, so the history
+    points within the cell's reach decide the half."""
     d = bounds.d
     per_axis = max(1, int((_CELLS_PER_HISTORY_POINT * tree.n) ** (1.0 / d)))
+    shape = (per_axis,) * d
     width = bounds.range / per_axis
     rho = 0.5 * float(np.sqrt((width ** 2).sum()))
-    centers = bounds.lower + (np.indices((per_axis,) * d).reshape(d, -1).T
-                              + 0.5) * width
+
+    cell = ((tree.data - bounds.lower) * (per_axis / bounds.range)
+            ).astype(np.int64)
+    np.clip(cell, 0, per_axis - 1, out=cell)
+    home = np.ravel_multi_index(cell.T, shape)
+    count = np.bincount(home, minlength=per_axis ** d).reshape(shape)
+    none_above, none_below = labels.max() + 1, labels.min() - 1
+    lowest = np.full(count.shape, none_above, dtype=labels.dtype)
+    highest = np.full(count.shape, none_below, dtype=labels.dtype)
+    np.minimum.at(lowest.reshape(-1), home, labels)
+    np.maximum.at(highest.reshape(-1), home, labels)
+    # cells per axis that a ball of 5 rho (and the margin) around a
+    # cell's center can reach, so that rounding cannot miss a cell
+    window = np.floor(5.0 * rho * (1.0 + 1e-9) / width + 0.5 + 1e-6)
+    lowest = _box(lowest, window.astype(int), np.minimum, none_above)
+    highest = _box(highest, window.astype(int), np.maximum, none_below)
+    block = _box(count, np.ones(d, dtype=int), np.add, 0)
+    certified = ((block >= k) & (lowest == highest)).ravel()
+
     kk = min(_CERTIFY_NEIGHBORS, tree.n)
-    dist, idx = tree.query(centers, k=kk)
-    dist = dist.reshape(len(centers), kk)
-    near = labels[idx.reshape(len(centers), kk)]
-    # the relative margin absorbs rounding in distances and cell lookup
-    reach = (dist[:, k - 1] + 2.0 * rho) * (1.0 + 1e-9)
-    inside = dist <= reach[:, None]
-    certified = ((near == near[:, :1]) | ~inside).all(axis=1)
-    if kk < tree.n:
-        certified &= ~inside[:, -1]  # every point within reach was seen
+    todo = np.flatnonzero(~certified)
+    halves = []  # the certified halves of cells that failed, as flat
+    # cell indices on the grid of half-size cells
+    for c0 in range(0, len(todo), _CELL_CHUNK):
+        cells = todo[c0:c0 + _CELL_CHUNK]
+        ijk = np.stack(np.unravel_index(cells, shape), axis=1)
+        dist, idx = tree.query(bounds.lower + (ijk + 0.5) * width, k=kk)
+        dist = dist.reshape(len(cells), kk)
+        idx = idx.reshape(len(cells), kk)
+        near = labels[idx]
+        # the relative margin absorbs rounding in distances and cell lookup
+        reach = (dist[:, k - 1] + 2.0 * rho) * (1.0 + 1e-9)
+        inside = dist <= reach[:, None]
+        ok = ((near == near[:, :1]) | ~inside).all(axis=1)
+        if kk < tree.n:
+            seen = ~inside[:, -1]  # every point within reach was seen
+            ok &= seen
+        else:
+            seen = np.ones(len(cells), dtype=bool)
+        certified[cells] = ok
+        split = np.flatnonzero(seen & ~ok)
+        if len(split):
+            halves.append(_single_label_halves(
+                ijk[split], np.where(inside[split], idx[split], tree.n),
+                2 * per_axis, tree, labels, bounds, k))
+
+    grid = certified.reshape(shape)
+    for axis in range(d):
+        grid = np.repeat(grid, 2, axis=axis)
+    certified = grid.ravel()
+    per_axis *= 2
+    for flat in halves:
+        certified[flat] = True
     scale = per_axis / bounds.range
-    strides = per_axis ** np.arange(d - 1, -1, -1)
 
     def cell_of(q: np.ndarray) -> np.ndarray:
-        cell = ((q - bounds.lower) * scale).astype(np.int64)
-        np.clip(cell, 0, per_axis - 1, out=cell)
-        return cell @ strides
+        flat = np.zeros(len(q), dtype=np.int64)
+        for j in range(d):
+            c = ((q[:, j] - bounds.lower[j]) * scale[j]).astype(np.int64)
+            np.clip(c, 0, per_axis - 1, out=c)
+            flat *= per_axis
+            flat += c
+        return flat
 
     return certified, cell_of
+
+
+def _single_label_halves(ijk: np.ndarray, in_reach: np.ndarray,
+                         per_axis: int, tree: cKDTree, labels: np.ndarray,
+                         bounds: Bounds, k: int) -> np.ndarray:
+    """The halves of the cells at grid positions ijk, split along every
+    axis, that the history points within each cell's reach (its row of
+    in_reach, padded with tree.n) certify as single-label, as flat cell
+    indices on the grid of per_axis half-size cells per axis."""
+    d = bounds.d
+    width = bounds.range / per_axis
+    rho = 0.5 * float(np.sqrt((width ** 2).sum()))
+    in_reach = in_reach[:, :max(k, int((in_reach < tree.n).sum(axis=1)
+                                       .max()))]
+    # the padding is a point at infinity
+    coords = [np.append(tree.data[:, j], np.inf)[in_reach] for j in range(d)]
+    lab = np.append(labels, labels[0])[in_reach]
+    certified = []
+    for half in np.ndindex((2,) * d):
+        sub = 2 * ijk + half
+        centers = bounds.lower + (sub + 0.5) * width
+        dd = (coords[0] - centers[:, :1]) ** 2
+        for j in range(1, d):
+            dd += (coords[j] - centers[:, j:j + 1]) ** 2
+        reach = (np.sqrt(np.partition(dd, k - 1, axis=1)[:, k - 1])
+                 + 2.0 * rho) * (1.0 + 1e-9)
+        inside = dd <= (reach * reach)[:, None]
+        first = lab[np.arange(len(lab)), np.argmin(dd, axis=1)]
+        ok = ((lab == first[:, None]) | ~inside).all(axis=1)
+        certified.append(np.ravel_multi_index(sub[ok].T, (per_axis,) * d))
+    return np.concatenate(certified)
+
+
+def _box(grid: np.ndarray, half: np.ndarray, op: np.ufunc,
+         fill) -> np.ndarray:
+    """op over each cell's box of half[j] cells to either side along
+    axis j, cells past the grid's edge holding fill."""
+    for axis, h in enumerate(half):
+        a = np.moveaxis(grid, axis, 0)
+        n = len(a)
+        padded = np.full((n + 2 * h,) + a.shape[1:], fill, dtype=a.dtype)
+        padded[h:h + n] = a
+        out = padded[:n].copy()
+        for shift in range(1, 2 * h + 1):
+            op(out, padded[shift:shift + n], out=out)
+        grid = np.moveaxis(out, 0, axis)
+    return grid
 
 
 def greedy_scattered_subset(candidates: np.ndarray, k: int) -> np.ndarray:
@@ -145,20 +267,20 @@ def greedy_scattered_subset(candidates: np.ndarray, k: int) -> np.ndarray:
         chosen = _grid_farthest_points(candidates, k, seed)
     else:
         chosen = _gemv_farthest_points(candidates, k, seed)
-    return candidates[chosen]
+    # take gathers rows several times faster than fancy indexing does
+    return candidates.take(chosen, axis=0)
 
 
 # The grid route keeps a running maximum of the cached distances per
-# block of 2**_BLOCK_SHIFT cell-sorted candidates, checks a batch for
-# conflicts _CONFLICT_CHUNK members at a time and reads at most
-# _MAX_BATCH top candidates per batch. Speed-only knobs: the picks do
-# not depend on them.
+# block of 2**_BLOCK_SHIFT cell-sorted candidates, reads the _BATCH top
+# candidates per batch and checks them for conflicts _CONFLICT_CHUNK
+# members at a time. Speed-only knobs: the picks do not depend on them.
 _BLOCK_SHIFT = 6
 _BLOCK = 1 << _BLOCK_SHIFT
 _CONFLICT_CHUNK = 64
-_MAX_BATCH = 512
+_BATCH = 128
 # _EARLIER[i, j]: batch member i comes before member j
-_EARLIER = np.triu(np.ones((_MAX_BATCH, _MAX_BATCH), dtype=bool), 1)
+_EARLIER = np.triu(np.ones((_BATCH, _BATCH), dtype=bool), 1)
 
 
 def _gemv_farthest_points(candidates: np.ndarray, k: int,
@@ -188,31 +310,46 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
     """The selection for d <= _GRID_MAX_D, several exact picks at a time.
 
     The top cached distances are read in pick order (largest first,
-    ties to the lowest index). The longest prefix of them in which no
-    member is closer to an earlier member than its own cached distance
-    is a run of consecutive single picks: no member's cached value can
-    shrink under the earlier ones, and every other value only ever
-    decreases, so each member is still the exact argmax in its turn.
-    The picks then refresh only the candidates in the grid cells within
-    their own max-min distance; a candidate farther away cannot shrink.
+    ties to the lowest index). A member that some earlier member is
+    closer to than its own cached distance is skipped. Every other
+    member is picked in its turn, as long as its value exceeds what
+    each skipped member before it holds after the picks before that
+    one; the batch stops at the first member that does not. No pick's
+    value can shrink under the earlier picks, and every other value only
+    ever decreases, so each pick is still the exact argmax in its turn.
+
+    The picks then refresh the candidates in the grid cells within their
+    own max-min distance. A candidate outside the top list, or after the
+    stop, holds at most that distance, so it cannot shrink from farther
+    away. A skipped member lies in the ring of each earlier pick that
+    shrinks it, and a later pick is no closer to it than the later
+    pick's own distance, which exceeds what the member already holds.
     """
     n, d = candidates.shape
     # The cell geometry is padded to three axes of which the unused
-    # ones hold a single cell.
+    # ones hold a single cell. Whole columns are worked on one at a
+    # time, which numpy does several times faster than short rows.
     pts = np.zeros((n, 3))
-    pts[:, :d] = candidates
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
+    lo = np.zeros(3)
+    span = np.zeros(3)
+    for j in range(d):
+        pts[:, j] = candidates[:, j]
+        lo[j] = pts[:, j].min()
+        span[j] = pts[:, j].max() - lo[j]
     vol = float(np.prod(np.maximum(span[:d], 1e-300)))
     mx = int(np.ceil((4.0 * k) ** (1.0 / d))) + 1
     h = max((vol / k) ** (1.0 / d), float(span.max()) / mx, 1e-300)
     inv_h = 1.0 / h
     nx = (span / h).astype(np.int64) + 1
-    cell = ((pts - lo) * inv_h).astype(np.int64)
-    np.minimum(cell, nx - 1, out=cell)
-    flat = cell @ np.array([1, nx[0], nx[0] * nx[1]])
+    flat = np.zeros(n, dtype=np.int64)
+    for j in reversed(range(d)):
+        cell = ((pts[:, j] - lo[j]) * inv_h).astype(np.int64)
+        np.minimum(cell, nx[j] - 1, out=cell)
+        flat *= nx[j]
+        flat += cell
     order = np.argsort(flat, kind="stable")
-    starts = np.searchsorted(flat[order], np.arange(int(nx.prod()) + 1))
+    starts = np.zeros(int(nx.prod()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=len(starts) - 1), out=starts[1:])
 
     # Everything below lives in cell-sorted positions, so that a row of
     # cells is one contiguous slice; `tiebreak` maps a position back to
@@ -228,48 +365,69 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
     blockmax = blocks.max(axis=1)
     touched = np.zeros(nb, dtype=bool)
     lanes = np.arange(_BLOCK)
+    everyone = np.arange(n)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = seed
     m = 1
-    size = 8
     while m < k:
+        size = min(_BATCH, k - m)
         # The `size` largest values all sit in the blocks whose running
         # maximum reaches the size-th largest block maximum.
-        size = min(size, k - m)
         if nb > size:
             thr = blockmax[np.argpartition(blockmax, nb - size)[nb - size:]
                            ].min()
             pos = (np.flatnonzero(blockmax >= thr)[:, None] * _BLOCK
                    + lanes).ravel()
-            pos = pos[vals[pos] >= thr]
+            v = vals[pos]
+            keep = np.flatnonzero(v >= thr)
+            pos = pos[keep]
+            v = v[keep]
         else:
-            pos = np.arange(n)
-        top = np.lexsort((tiebreak[pos], -vals[pos]))[:size]
+            pos = everyone
+            v = mind2
+        if len(v) > 2 * size:
+            # only values tied with or above the size-th largest can
+            # make the top list; sort just those
+            keep = np.flatnonzero(
+                v >= np.partition(v, len(v) - size)[len(v) - size])
+            pos = pos[keep]
+            v = v[keep]
+        top = np.lexsort((tiebreak[pos], -v))[:size]
         top_pos = pos[top]
-        top_d2 = vals[top_pos]
-        xs = pts[order[top_pos]]
-        run = size
+        top_d2 = v[top]
+        xs = pts.take(order[top_pos], axis=0)
+
+        take = np.zeros(size, dtype=bool)
+        ceiling = -np.inf  # the most any skipped member so far holds
+        stop = size
         for c0 in range(0, size, _CONFLICT_CHUNK):
             c1 = min(c0 + _CONFLICT_CHUNK, size)
             pair_d2 = _sq_dist([xs[:c1, j, None] for j in range(d)],
                                xs[c0:c1])
-            shrinks = ((pair_d2 < top_d2[c0:c1]) & _EARLIER[:c1, c0:c1]
-                       ).any(axis=0)
-            if shrinks.any():
-                run = c0 + int(shrinks.argmax())
+            shrinks = (pair_d2 < top_d2[c0:c1]) & _EARLIER[:c1, c0:c1]
+            skip = shrinks.any(axis=0)
+            take[c0:c1] = ~skip
+            # a skipped member's value after the picks before it
+            held = np.where(shrinks & take[:c1, None], pair_d2, np.inf
+                            ).min(axis=0)
+            np.minimum(held, top_d2[c0:c1], out=held)
+            held[~skip] = -np.inf
+            bar = np.maximum.accumulate(np.concatenate(([ceiling], held)))
+            late = np.flatnonzero(~skip & (top_d2[c0:c1] <= bar[:-1]))
+            if len(late):
+                stop = c0 + int(late[0])
                 break
-        picks = top_pos[:run]
-        chosen[m:m + run] = order[picks]
-        m += run
-        size = min(2 * run + 8, _MAX_BATCH)
+            ceiling = bar[-1]
+        take[stop:] = False
+        sel = np.flatnonzero(take)
+        picks = top_pos[sel]
+        chosen[m:m + len(sel)] = order[picks]
+        m += len(sel)
+        xs = xs[sel]
 
         touched[picks >> _BLOCK_SHIFT] = True
-        ring, owner = _ring_positions(xs[:run], np.sqrt(top_d2[:run]), lo,
-                                      inv_h, nx, starts)
-        dd = _sq_dist([c[ring] for c in cols], xs[:run][owner])
-        shrunk = dd < mind2[ring]
-        hit = ring[shrunk]
-        np.minimum.at(mind2, hit, dd[shrunk])
+        hit = _refresh_rings(mind2, cols, xs, np.sqrt(top_d2[sel]),
+                             (lo, inv_h, nx, starts))
         touched[hit >> _BLOCK_SHIFT] = True
         mind2[picks] = -np.inf
         stale = np.flatnonzero(touched)
@@ -287,30 +445,64 @@ def _sq_dist(cols: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _refresh_rings(mind2: np.ndarray, cols: list[np.ndarray],
+                   centers: np.ndarray, radii: np.ndarray,
+                   grid) -> np.ndarray:
+    """Lower the cached distances of the candidates in the balls' rings
+    to their distances from the ball centers, and return the positions
+    that shrank. Radii come largest first. An early batch's boxes can
+    cover the grid several times over, so its balls go in groups that
+    cover it about once, which bounds the ring arrays near n."""
+    inv_h, nx = grid[1], grid[2]
+    widest = 1.0  # the share of the grid that the widest box covers
+    for cells in nx.tolist():
+        widest *= min(1.0, (2.0 * inv_h * float(radii[0]) + 2.0) / cells)
+    parts = max(1, int(len(radii) * widest))
+    hits = []
+    for g in range(parts):
+        group = slice(len(radii) * g // parts, len(radii) * (g + 1) // parts)
+        ring, owner = _ring_positions(centers[group], radii[group], *grid)
+        dd = (cols[0][ring] - centers[group, 0][owner]) ** 2
+        for j in range(1, len(cols)):
+            dd += (cols[j][ring] - centers[group, j][owner]) ** 2
+        shrunk = np.flatnonzero(dd < mind2[ring])
+        hits.append(ring[shrunk])
+        np.minimum.at(mind2, hits[-1], dd[shrunk])
+    return np.concatenate(hits)
+
+
 def _ring_positions(centers: np.ndarray, radii: np.ndarray, lo, inv_h,
                     nx, starts) -> tuple[np.ndarray, np.ndarray]:
     """Cell-sorted positions of the candidates in the grid cells that
     meet each ball's bounding box, and the ball each one belongs to.
     Centers and grid are padded to three axes. The radii get a relative
-    margin so that rounding cannot drop a cell from the box."""
-    reach = (radii * (1.0 + 1e-9))[:, None]
-    first = np.clip((centers - reach - lo) * inv_h, 0, nx - 1).astype(np.int64)
-    last = np.clip((centers + reach - lo) * inv_h, 0, nx - 1).astype(np.int64)
-    # one entry per row of cells along axis 0
-    width1 = last[:, 1] - first[:, 1] + 1
-    n_rows = width1 * (last[:, 2] - first[:, 2] + 1)
-    row_ball = np.repeat(np.arange(len(centers)), n_rows)
-    local = np.arange(len(row_ball)) - np.repeat(np.cumsum(n_rows) - n_rows,
-                                                 n_rows)
-    c1 = first[row_ball, 1] + local % width1[row_ball]
-    c2 = first[row_ball, 2] + local // width1[row_ball]
-    row_base = (c2 * nx[1] + c1) * nx[0]
-    a = starts[row_base + first[row_ball, 0]]
-    e = starts[row_base + last[row_ball, 0] + 1]
-    lengths = e - a
-    ring = (np.repeat(a - (np.cumsum(lengths) - lengths), lengths)
-            + np.arange(int(lengths.sum())))
-    return ring, np.repeat(row_ball, lengths)
+    and an absolute margin so that rounding cannot drop a cell from the
+    box; a cell too many only costs time."""
+    c = (centers - lo) * inv_h
+    r = (radii * (inv_h * (1.0 + 1e-9)) + 1e-9)[:, None]
+    first = (c - r).astype(np.int64)
+    np.maximum(first, 0, out=first)
+    last = c + r
+    np.minimum(last, nx - 1, out=last)
+    last = last.astype(np.int64)
+    # Every ball gets as many rows of cells along axis 0 as the tallest
+    # box; a row past a box's own end holds other cells, or none past
+    # the grid's end.
+    w1 = int((last[:, 1] - first[:, 1]).max()) + 1
+    w2 = int((last[:, 2] - first[:, 2]).max()) + 1
+    rows = (np.arange(w2)[:, None] * nx[1] + np.arange(w1)).ravel()
+    row = (first[:, 2] * nx[1] + first[:, 1])[:, None] + rows
+    row *= nx[0]
+    a = row + first[:, :1]
+    e = row + last[:, :1] + 1
+    np.minimum(a, len(starts) - 1, out=a)
+    np.minimum(e, len(starts) - 1, out=e)
+    a = starts[a.ravel()]
+    lengths = starts[e.ravel()] - a
+    ends = np.cumsum(lengths)
+    ring = np.repeat(a - (ends - lengths), lengths) + np.arange(ends[-1])
+    owner = np.repeat(np.arange(len(centers)).repeat(len(rows)), lengths)
+    return ring, owner
 
 
 def sample_initial_population(n: int, bounds: Bounds, points: np.ndarray,

@@ -247,7 +247,8 @@ def test_step_matches_reference_bit_for_bit(d, pop_size, start, spread):
         state = CoreSearchState(
             mean=mean, stddev=np.full(d, spread), c_mult=1.0,
             pop_size=pop_size, nis=0, best=best, prev_mean=mean.copy(),
-            generation=0, bounds=bounds)
+            generation=0, bounds=bounds,
+            floors=init_core_search([best], pop_size, bounds).floors)
         return (state, Evaluator(recorder, bounds, BIG), recorder,
                 np.random.default_rng(d * 100 + pop_size))
 

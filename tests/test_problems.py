@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -303,6 +304,33 @@ def test_wrongly_shaped_output_raises_without_consuming(m, kind):
     assert ev.evals_used == 0
 
 
+# Wrong inputs on problem 7 (d = 2), each of which broadcasts against
+# the bounds: a one-coordinate point and a batch of one-coordinate rows,
+# then a point with a third coordinate, a (1, 2) "point" and a flat batch.
+WRONG_POINTS = [np.array([1.0]), np.array([1.0, 2.0, 3.0]),
+                np.ones((1, 2))]
+WRONG_BATCHES = [np.ones((3, 1)), np.ones((3, 3)), np.ones(2),
+                 np.ones((1, 2, 2))]
+
+
+@pytest.mark.parametrize("x", WRONG_POINTS, ids=lambda x: str(x.shape))
+def test_wrongly_shaped_point_raises_without_consuming(x):
+    p = make_problem(7)
+    ev = Evaluator(p.fn, p.bounds, p.budget)
+    with pytest.raises(ValueError, match=re.escape(str(x.shape))):
+        ev.evaluate(x)
+    assert ev.evals_used == 0
+
+
+@pytest.mark.parametrize("xs", WRONG_BATCHES, ids=lambda x: str(x.shape))
+def test_wrongly_shaped_batch_raises_without_consuming(xs):
+    p = make_problem(7)
+    ev = Evaluator(p.fn, p.bounds, p.budget)
+    with pytest.raises(ValueError, match=re.escape(str(xs.shape))):
+        ev.evaluate_batch(xs)
+    assert ev.evals_used == 0
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.lists(finite_floats, min_size=1, max_size=20))
 def test_finite_output_is_returned_unchanged(values):
@@ -326,6 +354,9 @@ def test_bounds_validation():
         Bounds(np.array([0.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="finite"):
         Bounds(np.array([0.0]), np.array([np.inf]))
+    # finite ends whose difference overflows
+    with pytest.raises(ValueError, match="finite"):
+        Bounds(np.array([-1e308]), np.array([1e308]))
 
 
 def test_bounds_geometry():

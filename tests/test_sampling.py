@@ -41,6 +41,22 @@ def test_sample_uniform_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("lower,upper", [
+    ([0.0], [30.0]), ([0.25, 0.25], [10.0, 10.0]),
+    ([-1.9, -1.1], [1.9, 1.1]), ([-5.0] * 5, [5.0] * 5),
+    ([-1e150, 3.0, -7.5], [1e150, 3.5, -7.25])])
+def test_sample_uniform_draws_what_rng_uniform_draws(lower, upper):
+    """The same doubles, in the same order, as numpy's own uniform draw
+    over the box, and the generator left in the same state."""
+    bounds = Bounds(np.array(lower), np.array(upper))
+    ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+    for n in (0, 1, 7, 1000):
+        np.testing.assert_array_equal(
+            sample_uniform(n, bounds, ours),
+            theirs.uniform(bounds.lower, bounds.upper, size=(n, bounds.d)))
+    assert ours.random() == theirs.random()
+
+
 # --- rejection sampling ----------------------------------------------------
 
 
@@ -127,26 +143,62 @@ def test_rejection_output_always_in_bounds_and_sized():
     assert np.all(out >= bounds.lower) and np.all(out <= bounds.upper)
 
 
+def lattice(d: int, side: int) -> np.ndarray:
+    """The side**d centers of a regular grid over the unit box."""
+    axis = (np.arange(side) + 0.5) / side
+    return np.array(list(itertools.product(axis, repeat=d)))
+
+
+def region_labels(pts: np.ndarray) -> np.ndarray:
+    """Labels by region, as hill-valley clustering tends to produce."""
+    return (pts[:, 0] * 3).astype(int) + 3 * (pts[:, -1] > 0.6)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_certified_cells_match_tree_route(d):
     """Points in a cell certified as single-label skip the tree query;
     the predicate must still equal a direct nearest-(d+1) tree query on
-    every query point, including near the label boundaries."""
+    every query point, including near the label boundaries. Lattice
+    histories, queried on a lattice of their own midpoints, put exact
+    distance ties everywhere. Some cells must be certified only in part,
+    by their halves."""
     rng = np.random.default_rng(40 + d)
     bounds = Bounds(np.zeros(d), np.ones(d))
-    for h in (1, 5, 60, 400):
-        pts = rng.uniform(size=(h, d))
-        # region labels, as hill-valley clustering tends to produce
-        labels = (pts[:, 0] * 3).astype(int) + 3 * (pts[:, -1] > 0.6)
-        q = rng.uniform(size=(5000, d))
+    histories = [(rng.uniform(size=(h, d)), rng.uniform(size=(5000, d)))
+                 for h in (1, 5, 60, 400)]
+    side = {1: 300, 2: 24, 3: 9}[d]
+    grid = np.arange(2 * side + 1) / (2 * side)
+    ties = np.array(list(itertools.product(grid, repeat=d)))
+    histories += [(lattice(d, side), ties), (lattice(d, 3), ties)]
+    halves_certified = 0
+    for pts, q in histories:
+        labels = region_labels(pts)
         fast = sampling._single_basin_test(pts, labels, bounds)(q)
-        k = min(d + 1, h)
+        k = min(d + 1, len(pts))
         idx = cKDTree(pts).query(q, k=k)[1].reshape(len(q), k)
         slow = (labels[idx] == labels[idx[:, :1]]).all(axis=1)
         np.testing.assert_array_equal(fast, slow)
-    certified, _ = sampling._single_label_cells(cKDTree(pts), labels, bounds,
-                                                d + 1)
-    assert certified.any() and not certified.all()
+        tree = cKDTree(pts)
+        certified, _ = sampling._single_label_cells(tree, labels, bounds, k)
+        # every certified cell of the table holds its certificate: the
+        # history points within R_k(c) + 2 rho of its center share a label
+        per_axis = round(len(certified) ** (1.0 / d))
+        cells = np.stack(np.unravel_index(np.flatnonzero(certified),
+                                          (per_axis,) * d), axis=1)
+        centers = (cells + 0.5) / per_axis
+        r_k = tree.query(centers, k=k)[0].reshape(len(cells), k)[:, -1]
+        reach = r_k + np.sqrt(d) / per_axis
+        for near in tree.query_ball_point(centers, reach * (1.0 - 1e-9)):
+            assert len(set(labels[near])) <= 1
+        # count the cells whose halves are certified in part
+        half = per_axis // 2
+        blocks = certified.reshape((half, 2) * d)
+        pairs = tuple(range(1, 2 * d, 2))
+        halves_certified += int((blocks.any(axis=pairs)
+                                 & ~blocks.all(axis=pairs)).sum())
+        if len(pts) == 400:
+            assert certified.any() and not certified.all()
+    assert halves_certified > 0
 
 
 def test_certified_cells_see_past_a_dense_blob():
@@ -293,10 +345,18 @@ def centroid_seed(candidates: np.ndarray) -> int:
     return int(np.argmax(((candidates - centroid) ** 2).sum(axis=1)))
 
 
+# At n = 4096 the grid route's blocks number no more than a batch, so
+# every candidate is in the top list; at n = 16384 batches of
+# sampling._BATCH members come from the blocks. The lattice and
+# duplicate instances put exact ties on the top list's cut.
+LARGE_SIZES = ((4096, (4096,)), (16384, (1024,)))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_route_matches_eager_route_exactly(d):
     rng = np.random.default_rng(100 + d)
-    sizes = [(3000, (5, 611, 1500))] + [(n, small_ks(n)) for n in SMALL_SIZES]
+    sizes = ([(3000, (5, 611, 1500))]
+             + [(n, small_ks(n)) for n in SMALL_SIZES] + list(LARGE_SIZES))
     for n, ks in sizes:
         for candidates in fps_instances(rng, d, n):
             seed = centroid_seed(candidates)
