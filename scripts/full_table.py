@@ -4,10 +4,9 @@ This is the long-running target documented in the README (hours of CPU
 time; the 10- and 20-dimensional composition problems dominate). Score
 tables land in bench-results/full/scores.csv; per-run traces are
 skipped to keep the output small. Use --jobs to parallelize across
-cores and --xi-scaling to switch how the base population size treats
-the problem dimension.
+cores; further hillvallea-bench flags are passed through.
 
-Usage: python scripts/full_table.py [--jobs K] [--xi-scaling with-d|literal]
+Usage: python scripts/full_table.py [--jobs K]
 """
 
 from __future__ import annotations

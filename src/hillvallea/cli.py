@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from .harness import ConfigError, ExperimentConfig, run_experiment
-from .orchestrator import XI_SCALING_MODES
 from .problems.suite import MissingDataError
 
 
@@ -67,11 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default %(default)s)")
     parser.add_argument("--jobs", type=int, default=defaults.jobs,
                         help="parallel worker processes (default %(default)s)")
-    parser.add_argument("--xi-scaling", choices=XI_SCALING_MODES,
-                        default=defaults.xi_scaling,
-                        help="scale the base population size by the problem "
-                             "dimension, or use it literally "
-                             "(default %(default)s)")
     parser.add_argument("--budget-override", action="append", default=[],
                         metavar="P=B", help="override problem P's budget to B "
                                             "(repeatable)")
@@ -88,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
             problems=parse_problem_ids(args.problems),
             runs=args.runs,
             seed=args.seed,
-            xi_scaling=args.xi_scaling,
             data_dir=args.data_dir,
             out_dir=args.out,
             jobs=args.jobs,

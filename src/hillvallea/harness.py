@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .orchestrator import DEFAULT_XI, XI_SCALING_MODES, run
+from .orchestrator import DEFAULT_XI, run
 from .problems.evaluator import Solution
 from .problems.suite import PROBLEM_IDS, Problem, make_problem
 from .scoring import (ACCURACY_LEVELS, LevelScores, ScoreReport, aggregate,
@@ -34,7 +34,6 @@ class ExperimentConfig:
     problems: tuple[int, ...]
     runs: int = 50
     seed: int = 0
-    xi_scaling: str = "with-d"
     data_dir: Path | None = None
     out_dir: Path = Path("bench-results")
     jobs: int = 1
@@ -49,22 +48,26 @@ class RunFailure:
     message: str
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but True is not problem 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     if not cfg.problems:
         raise ConfigError("at least one problem id is required")
-    bad = [p for p in cfg.problems if p not in PROBLEM_IDS]
+    bad = [p for p in cfg.problems if not _is_int(p) or p not in PROBLEM_IDS]
     if bad:
         raise ConfigError(f"invalid problem ids: {bad}")
-    if cfg.runs < 1:
-        raise ConfigError("runs must be at least 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be at least 1")
-    if cfg.xi_scaling not in XI_SCALING_MODES:
-        raise ConfigError(f"xi-scaling must be one of {XI_SCALING_MODES}")
+    if not _is_int(cfg.runs) or cfg.runs < 1:
+        raise ConfigError("runs must be an integer of at least 1")
+    if not _is_int(cfg.seed) or cfg.seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    if not _is_int(cfg.jobs) or cfg.jobs < 1:
+        raise ConfigError("jobs must be an integer of at least 1")
     for pid, budget in cfg.budget_overrides.items():
-        if pid not in PROBLEM_IDS or budget < 0:
+        if (not _is_int(pid) or pid not in PROBLEM_IDS
+                or not _is_int(budget) or budget < 0):
             raise ConfigError(f"bad budget override {pid}={budget}")
 
 
@@ -74,7 +77,7 @@ def _load_problems(cfg: ExperimentConfig) -> dict[int, Problem]:
         problem = make_problem(pid, data_dir=cfg.data_dir)
         if pid in cfg.budget_overrides:
             problem = dataclasses.replace(
-                problem, budget=int(cfg.budget_overrides[pid]))
+                problem, budget=cfg.budget_overrides[pid])
         problems[pid] = problem
     return problems
 
@@ -91,10 +94,10 @@ def write_trace_csv(elites: list[Solution], d: int, path: Path) -> None:
 
 
 def _execute_run(task) -> tuple[int, int, list[LevelScores] | None, str | None]:
-    problem, run_index, seed, xi_scaling, trace_path = task
+    problem, run_index, seed, trace_path = task
     try:
         # The traced benchmark pass reads the seed as the third argument.
-        elites = run(problem, DEFAULT_XI, seed, xi_scaling=xi_scaling)
+        elites = run(problem, DEFAULT_XI, seed)
         if trace_path is not None:
             write_trace_csv(elites, problem.d, trace_path)
         return problem.id, run_index, score_run(elites, problem), None
@@ -120,8 +123,7 @@ def run_experiment(cfg: ExperimentConfig,
         for r in range(cfg.runs):
             trace_path = (trace_dir / f"p{pid:02d}_run{r:03d}.csv"
                           if cfg.write_traces else None)
-            tasks.append((problems[pid], r, cfg.seed + r, cfg.xi_scaling,
-                          trace_path))
+            tasks.append((problems[pid], r, cfg.seed + r, trace_path))
 
     if cfg.jobs == 1:
         results = [_execute_run(t) for t in tasks]

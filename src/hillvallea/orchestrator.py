@@ -4,7 +4,8 @@ Repeats until the evaluation budget runs out: sample an initial
 population (biased away from the previous restart's known basins),
 select the fittest fraction, cluster it into niches, run one core
 search per cluster in descending best-fitness order, and feed each
-terminated search's best solution to the elite archive. Population size
+terminated search's best solution to the elite archive. The first
+population is the base size times the dimension; population size
 doubles and the cluster-size factor grows by 1.1x per restart.
 """
 
@@ -23,8 +24,6 @@ from .hillvalley import (expected_edge_length, hill_valley_clustering,
 from .problems.evaluator import (BudgetExhaustedError, Evaluator, Solution)
 from .problems.suite import Problem
 from .sampling import sample_initial_population
-
-XI_SCALING_MODES = ("with-d", "literal")
 
 SELECTION_FRACTION = 0.35
 
@@ -61,17 +60,6 @@ DEFAULT_XI = RestartParams(n=2 ** 6, n_inc=2.0, n_c=0.8, n_c_inc=1.1)
 def restart_update(p: RestartParams) -> RestartParams:
     return dataclasses.replace(p, n=int(round(p.n * p.n_inc)),
                                n_c=p.n_c * p.n_c_inc)
-
-
-def initial_restart_params(p: RestartParams, d: int,
-                           xi_scaling: str = "with-d") -> RestartParams:
-    """Resolve the configured base population size against the problem
-    dimension: 'with-d' multiplies by d, 'literal' uses it as given."""
-    if xi_scaling not in XI_SCALING_MODES:
-        raise ValueError(f"unknown scaling mode {xi_scaling!r}")
-    if xi_scaling == "with-d":
-        return dataclasses.replace(p, n=p.n * d)
-    return p
 
 
 def cluster_pop_size(p: RestartParams, d: int) -> int:
@@ -121,8 +109,8 @@ def prune_archive(elites: list[Solution], tol: float) -> None:
         elites[:] = [e for e in elites if e.f >= cutoff]
 
 
-def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
-        *, xi_scaling: str = "with-d") -> list[Solution]:
+def run(problem: Problem, p0: RestartParams = DEFAULT_XI,
+        seed: int = 0) -> list[Solution]:
     """Optimize until the budget runs out. Returns the elites in
     acceptance order, each with its acceptance index as eval_index:
     the run's record for scoring and for its trace file."""
@@ -132,7 +120,7 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI, seed: int = 0,
     elites: list[Solution] = []
     # the previous restart's selection and the cluster of each point
     points, labels = np.empty((0, bounds.d)), np.empty(0, dtype=np.intp)
-    p = initial_restart_params(p0, bounds.d, xi_scaling)
+    p = dataclasses.replace(p0, n=p0.n * bounds.d)
 
     while ev.remaining >= p.n:
         xs = sample_initial_population(p.n, bounds, points, labels, rng)

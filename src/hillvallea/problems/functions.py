@@ -8,7 +8,8 @@ Rastrigin) are negated here once and for all.
 Each objective sits beside the derivation of its global optima. Positions
 are either exact by construction (trap endpoints, sine peaks, cosine
 grids) or polished numerically from analytic seeds (root finding on the
-gradient, bounded scalar minimization).
+gradient, bounded scalar minimization). Only those derivations import
+scipy.optimize, so building the other problems does not load it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import fsolve, minimize_scalar
 
 
 def _sorted_rows(points: np.ndarray) -> np.ndarray:
@@ -70,6 +70,8 @@ def uneven_decreasing_maxima(x: np.ndarray) -> np.ndarray:
 
 
 def _uneven_decreasing_maxima_optima() -> np.ndarray:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda t: -uneven_decreasing_maxima(np.array([[t]]))[0],
         bounds=(0.05, 0.12), method="bounded",
@@ -86,6 +88,8 @@ def himmelblau(x: np.ndarray) -> np.ndarray:
 
 
 def _himmelblau_optima() -> np.ndarray:
+    from scipy.optimize import fsolve
+
     def grad(p: np.ndarray) -> list[float]:
         x, y = p
         u = x * x + y - 11.0
@@ -107,6 +111,8 @@ def six_hump_camel_back(x: np.ndarray) -> np.ndarray:
 
 
 def _six_hump_camel_back_optima() -> np.ndarray:
+    from scipy.optimize import fsolve
+
     def grad(p: np.ndarray) -> list[float]:
         x, y = p
         return [8.0 * x - 8.4 * x ** 3 + 2.0 * x ** 5 + y,
@@ -131,6 +137,8 @@ def shubert(x: np.ndarray) -> np.ndarray:
 def _shubert_factor_extrema() -> tuple[np.ndarray, np.ndarray]:
     """Locations of the three lowest minima and three highest maxima of
     the one-dimensional factor on [-10, 10], polished to ~1e-12."""
+    from scipy.optimize import minimize_scalar
+
     grid = np.linspace(-10.0, 10.0, 20001)
     vals = _shubert_factor(grid)
 

@@ -27,7 +27,7 @@ from hillvallea.scoring import (ACCURACY_LEVELS, LevelScores, ScoreReport,
 def test_config_defaults():
     cfg = ExperimentConfig(problems=(1,))
     assert cfg.runs == 50 and cfg.seed == 0
-    assert cfg.xi_scaling == "with-d" and cfg.jobs == 1
+    assert cfg.jobs == 1
     assert cfg.write_traces and cfg.out_dir == Path("bench-results")
 
 
@@ -37,10 +37,21 @@ def test_config_defaults():
     dict(problems=(1, 21)),
     dict(problems=(2,), runs=0),
     dict(problems=(2,), jobs=0),
-    dict(problems=(2,), xi_scaling="banana"),
     dict(problems=(2,), budget_overrides={2: -5}),
     dict(problems=(2,), budget_overrides={99: 100}),
     dict(problems=(2,), runs=1, seed=-1),
+    dict(problems=(2.0,), runs=1),
+    dict(problems=(True,), runs=1),
+    dict(problems=(2,), runs=1.0),
+    dict(problems=(2,), runs=True),
+    dict(problems=(2,), runs=1, seed=0.0),
+    dict(problems=(2,), runs=1, seed=False),
+    dict(problems=(2,), runs=1, jobs=1.0),
+    dict(problems=(2,), runs=1, jobs=True),
+    dict(problems=(2,), runs=1, budget_overrides={2.0: 100}),
+    dict(problems=(2,), runs=1, budget_overrides={True: 100}),
+    dict(problems=(2,), runs=1, budget_overrides={2: 100.0}),
+    dict(problems=(2,), runs=1, budget_overrides={2: True}),
 ])
 def test_invalid_configs_are_rejected(kwargs, tmp_path):
     cfg = ExperimentConfig(out_dir=tmp_path, **kwargs)
@@ -120,7 +131,7 @@ def test_no_traces_flag_skips_trace_files(tmp_path):
 def test_failed_runs_are_reported_not_fatal(tmp_path, monkeypatch):
     problem = make_problem(2)
 
-    def flaky_run(problem, xi, seed, xi_scaling="with-d"):
+    def flaky_run(problem, xi, seed):
         if seed == 1:
             raise RuntimeError("boom")
         x = np.array([0.1])
@@ -136,7 +147,7 @@ def test_failed_runs_are_reported_not_fatal(tmp_path, monkeypatch):
 
 
 def test_all_runs_failing_yields_empty_report(tmp_path, monkeypatch):
-    def broken_run(problem, xi, seed, xi_scaling="with-d"):
+    def broken_run(problem, xi, seed):
         raise ValueError("nope")
 
     monkeypatch.setattr(harness, "run", broken_run)
@@ -279,7 +290,7 @@ def test_parser_defaults():
     args = build_parser().parse_args([])
     assert args.problems == "1-20" and args.runs == 50 and args.seed == 0
     assert args.data_dir is None and args.out == Path("bench-results")
-    assert args.jobs == 1 and args.xi_scaling == "with-d"
+    assert args.jobs == 1
     assert args.budget_override == [] and not args.no_traces
 
 
@@ -307,7 +318,7 @@ def test_cli_no_traces(tmp_path):
     ["--problems", "99"],
     ["--runs", "0"],
     ["--budget-override", "2"],
-    ["--xi-scaling", "sideways"],
+    ["--xi-scaling", "with-d"],
     ["--problems", "2,9-7"],
     ["--problems", "2", "--runs", "1", "--seed", "-1"],
 ])
@@ -327,7 +338,7 @@ def test_cli_missing_data_exit_two(tmp_path, capsys):
 
 
 def test_cli_run_failures_exit_three(tmp_path, capsys, monkeypatch):
-    def broken_run(problem, xi, seed, xi_scaling="with-d"):
+    def broken_run(problem, xi, seed):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(harness, "run", broken_run)

@@ -10,15 +10,15 @@ import pytest
 
 import hillvallea.orchestrator as orchestrator
 from hillvallea.orchestrator import (DEFAULT_XI, RestartParams,
-                                     cluster_pop_size, initial_restart_params,
-                                     prune_archive, restart_update, run,
+                                     cluster_pop_size, prune_archive,
+                                     restart_update, run,
                                      update_elite_archive)
 from hillvallea.problems.evaluator import Evaluator, Solution
 from hillvallea.problems.suite import make_problem
 from hillvallea.scoring import count_distinct_global
 
 from conftest import (BIG, EQUAL_MAXIMA, RecordingObjective, bowl,
-                      make_solutions)
+                      bowl_problem, make_solutions)
 
 
 # --- restart parameters -----------------------------------------------------
@@ -55,14 +55,6 @@ def test_restart_sequence():
         ncs.append(p.n_c)
     assert ns == [64, 128, 256]
     np.testing.assert_allclose(ncs, [0.8, 0.88, 0.968], atol=1e-12)
-
-
-def test_initial_restart_params_scaling_modes():
-    assert initial_restart_params(DEFAULT_XI, 4, "with-d").n == 256
-    assert initial_restart_params(DEFAULT_XI, 4, "literal").n == 64
-    assert initial_restart_params(DEFAULT_XI, 1, "with-d").n == 64
-    with pytest.raises(ValueError):
-        initial_restart_params(DEFAULT_XI, 4, "sideways")
 
 
 def test_cluster_pop_size():
@@ -253,11 +245,17 @@ def test_run_respects_budget_exactly():
     assert all(1 <= e.eval_index <= 3000 for e in elites)
 
 
-def test_run_scaling_modes_complete():
-    problem = dataclasses.replace(make_problem(4), budget=4000)
-    for mode in ("with-d", "literal"):
-        rec = RecordingObjective(problem.fn)
-        elites = run(dataclasses.replace(problem, fn=rec), seed=1,
-                     xi_scaling=mode)
-        assert rec.n_evals <= 4000
-        assert len(elites) >= 1
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p0", [DEFAULT_XI,
+                                dataclasses.replace(DEFAULT_XI, n=10)],
+                         ids=["n64", "n10"])
+def test_first_population_is_base_size_times_dimension(d, p0):
+    problem = bowl_problem(d, budget=3 * p0.n * d)
+    batches = []
+
+    def fn(xs):
+        batches.append(len(xs))
+        return problem.fn(xs)
+
+    run(dataclasses.replace(problem, fn=fn), p0, seed=0)
+    assert batches[0] == p0.n * d

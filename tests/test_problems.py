@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
@@ -183,6 +184,20 @@ def test_every_package_data_glob_matches_a_file():
         root = REPO / "src" / package.replace(".", "/")
         for pattern in patterns:
             assert list(root.glob(pattern)), f"{package}: {pattern}"
+
+
+def test_problems_with_exact_optima_do_not_import_scipy_optimize():
+    # Only the numerically polished optima (p03-p06, p08) need the solver.
+    code = ("import sys\n"
+            "from hillvallea.problems.suite import make_problem\n"
+            "for pid in (7, 10, 16):\n"
+            "    make_problem(pid)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = Path(functions.__file__).resolve().parents[2]
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 # --- evaluator -----------------------------------------------------------
