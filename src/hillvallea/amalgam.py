@@ -69,7 +69,6 @@ class CoreSearchState:
     # bounds' range, worked out once per search
     floors: tuple[np.ndarray, np.ndarray, np.ndarray]
     terminated: bool = False
-    selection_spread: float = np.inf
 
 
 def guideline_pop_size(d: int) -> int:
@@ -80,7 +79,8 @@ def init_core_search(cluster: list[Solution], pop_size: int,
                      bounds: Bounds) -> CoreSearchState:
     """Start a search at a cluster's members, given best first: their
     mean, their sample standard deviation floored at a fraction of the
-    domain range, and the first member as the tracked best."""
+    domain range, far above PARAM_TOL, and the first member as the
+    tracked best. A fresh search is never terminated."""
     xs = np.array([m.x for m in cluster])
     mean = xs.mean(axis=0)
     if len(xs) > 1:
@@ -99,7 +99,10 @@ def init_core_search(cluster: list[Solution], pop_size: int,
 
 def core_search_step(state: CoreSearchState, ev: Evaluator,
                      rng: np.random.Generator) -> CoreSearchState:
-    """One generation; returns the next state and leaves `state` as it was."""
+    """One generation; returns the next state and leaves `state` as it
+    was. The search ends (`terminated`) on a budget short of one
+    population, which samples nothing, on more than nis_limit(d)
+    stagnant generations, on a collapsed model or on a flat selection."""
     pop = state.pop_size
     bounds = state.bounds
     best_f = state.best.f
@@ -188,17 +191,9 @@ def core_search_step(state: CoreSearchState, ev: Evaluator,
         new_stddev = np.zeros(bounds.d)
     np.maximum(new_stddev, state.floors[1], out=new_stddev)
 
+    collapsed = np.count_nonzero(c_mult * new_stddev < state.floors[2])
+    terminated = (nis > nis_limit(bounds.d) or collapsed == bounds.d
+                  or spread < FITNESS_TOL)
     return CoreSearchState(new_mean, new_stddev, c_mult, pop, nis, best,
                            state.mean, state.generation + 1, bounds,
-                           state.floors, False, spread)
-
-
-def core_search_terminated(state: CoreSearchState) -> bool:
-    if state.terminated:
-        return True
-    if state.nis > nis_limit(state.bounds.d):
-        return True
-    collapsed = state.c_mult * state.stddev < state.floors[2]
-    if np.count_nonzero(collapsed) == collapsed.size:
-        return True
-    return state.selection_spread < FITNESS_TOL
+                           state.floors, terminated)

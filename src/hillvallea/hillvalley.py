@@ -121,30 +121,29 @@ def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
     def walk(i: int) -> int:
         """Assign solution i by testing nearest previous solutions in
         distinct clusters; returns the cluster index or -1."""
-        nonlocal exhausted
         seen: set[int] = set()
-        try:
-            for dist2, j in nearest_first(i):
-                c = assigned[j]
-                if c in seen:
-                    continue
-                seen.add(c)
-                n_t = n_test_points(math.sqrt(dist2), eel)
-                if i >= worse_half_start and n_t == 1:
-                    return c
-                if hill_valley_test(ev, selection[i], selection[j], n_t):
-                    return c
-                if len(seen) == max_candidates:
-                    break
-        except BudgetExhaustedError:
-            exhausted = True
+        for dist2, j in nearest_first(i):
+            c = assigned[j]
+            if c in seen:
+                continue
+            seen.add(c)
+            n_t = n_test_points(math.sqrt(dist2), eel)
+            if i >= worse_half_start and n_t == 1:
+                return c
+            if hill_valley_test(ev, selection[i], selection[j], n_t):
+                return c
+            if len(seen) == max_candidates:
+                break
         return -1
 
     clusters = [[selection[0]]]
     assigned = [0] * s_count
-    exhausted = False
     for i in range(1, s_count):
-        target = -1 if exhausted else walk(i)
+        try:
+            target = walk(i)
+        except BudgetExhaustedError:
+            clusters.extend([s] for s in selection[i:])
+            break
         if target >= 0:
             clusters[target].append(selection[i])
         else:

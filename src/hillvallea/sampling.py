@@ -257,7 +257,10 @@ def greedy_scattered_subset(candidates: np.ndarray, k: int) -> np.ndarray:
     centroid, then repeatedly add the candidate maximizing the minimum
     distance to the chosen set. Ties break to the lowest index."""
     candidates = np.asarray(candidates, dtype=float)
-    if k > len(candidates):
+    if candidates.ndim != 2:
+        raise ValueError(f"candidates of shape {candidates.shape}, "
+                         f"expected (n, d)")
+    if not 0 <= k <= len(candidates):
         raise ValueError(f"cannot select {k} of {len(candidates)} candidates")
     if k == 0:
         return candidates[:0]

@@ -11,13 +11,13 @@ import pytest
 
 import hillvallea.amalgam as amalgam
 from hillvallea.amalgam import (AMS_FRACTION, C_MULT_MAX, C_MULT_MIN,
-                                DELTA_AMS, ETA_DEC, ETA_INC,
+                                DELTA_AMS, ETA_DEC, ETA_INC, FITNESS_TOL,
                                 INIT_STDDEV_FLOOR, MATERIAL_GAIN_REL,
-                                SDR_THRESHOLD, SELECTION_FRACTION,
+                                PARAM_TOL, SDR_THRESHOLD, SELECTION_FRACTION,
                                 STAGNATION_GRACE, STEP_STDDEV_FLOOR,
                                 CoreSearchState, core_search_step,
-                                core_search_terminated, guideline_pop_size,
-                                init_core_search)
+                                guideline_pop_size, init_core_search,
+                                nis_limit)
 from hillvallea.bounds import Bounds
 from hillvallea.problems.evaluator import Evaluator, Solution
 
@@ -217,11 +217,15 @@ def reference_core_search_step(state, ev, rng):
     else:
         new_stddev = np.zeros(bounds.d)
     new_stddev = np.maximum(new_stddev, STEP_STDDEV_FLOOR * bounds.range)
+    terminated = bool(
+        nis > nis_limit(bounds.d)
+        or np.all(c_mult * new_stddev < PARAM_TOL * bounds.range)
+        or spread < FITNESS_TOL)
 
     return dataclasses.replace(
         state, mean=new_mean, stddev=new_stddev, c_mult=c_mult, nis=nis,
         best=best, prev_mean=state.mean, generation=state.generation + 1,
-        selection_spread=spread,
+        terminated=terminated,
     )
 
 
@@ -270,7 +274,7 @@ def test_step_matches_reference_bit_for_bit(d, pop_size, start, spread):
         assert fast.nis == ref.nis
         assert fast.best.f == ref.best.f
         assert fast.best.eval_index == ref.best.eval_index
-        assert fast.selection_spread == ref.selection_spread
+        assert fast.terminated == ref.terminated
         assert fast.generation == ref.generation
     np.testing.assert_array_equal(fast_rec.stream(), ref_rec.stream())
     assert elite_selected > 0
@@ -280,35 +284,70 @@ def test_step_matches_reference_bit_for_bit(d, pop_size, start, spread):
 
 
 # --- termination ------------------------------------------------------------
+# Each test takes one step from a hand-made state into one stop rule.
+
+
+def stalled_at_peak(stddev: float, nis: int = 0,
+                    c_mult: float = 1.0) -> CoreSearchState:
+    """A search on OFFSET_BOWL centred on its peak x = 3 whose tracked
+    best scores 1, above every sample: no step improves on it, and the
+    selection always spans at least the gap below it."""
+    state = init_core_search([Solution(np.array([3.0]), 1.0, 0)], 10, WIDE)
+    return dataclasses.replace(state, stddev=np.array([stddev]), nis=nis,
+                               c_mult=c_mult)
 
 
 def test_fresh_wide_state_not_terminated():
+    """A fresh wide search steps on while a population's evaluations
+    remain; the step after that finds the budget short and terminates
+    without sampling."""
+    ev = Evaluator(OFFSET_BOWL, WIDE, 10)
     state = init_core_search(unit_spread_cluster(), 10, WIDE)
     state = dataclasses.replace(state, stddev=np.array([10.0]))  # 10% range
-    assert core_search_terminated(state) is False
+    state = core_search_step(state, ev, np.random.default_rng(0))
+    assert not state.terminated
+    assert ev.evals_used == 10
+    stepped = core_search_step(state, ev, np.random.default_rng(0))
+    assert stepped.terminated
+    assert ev.evals_used == 10
+    assert stepped.generation == state.generation
 
 
 def test_terminates_on_parameter_collapse():
-    state = init_core_search(unit_spread_cluster(), 10, WIDE)
-    state = dataclasses.replace(state, stddev=np.array([1e-13 * 100.0]))
-    assert core_search_terminated(state) is True
+    """A model at the step floor whose multiplier shrinks below one
+    collapses under PARAM_TOL; the same model at multiplier one does
+    not."""
+    rng = np.random.default_rng(0)
+    floor = STEP_STDDEV_FLOOR * WIDE.range[0]
+    ev = Evaluator(OFFSET_BOWL, WIDE, BIG)
+    kept = core_search_step(stalled_at_peak(floor), ev, rng)
+    assert not kept.terminated
+    shrunk = core_search_step(
+        stalled_at_peak(floor, nis=STAGNATION_GRACE, c_mult=1e-3), ev, rng)
+    assert shrunk.nis <= nis_limit(WIDE.d)
+    assert shrunk.c_mult * shrunk.stddev[0] < PARAM_TOL * WIDE.range[0]
+    assert shrunk.terminated
 
 
 def test_terminates_on_long_no_improvement_stretch():
-    state = init_core_search(unit_spread_cluster(), 10, WIDE)
-    d = WIDE.d
-    assert core_search_terminated(
-        dataclasses.replace(state, nis=25 + d)) is False
-    assert core_search_terminated(
-        dataclasses.replace(state, nis=26 + d)) is True
+    rng = np.random.default_rng(0)
+    ev = Evaluator(OFFSET_BOWL, WIDE, BIG)
+    limit = nis_limit(WIDE.d)
+    at_limit = core_search_step(stalled_at_peak(10.0, nis=limit - 1), ev, rng)
+    assert at_limit.nis == limit and not at_limit.terminated
+    past = core_search_step(stalled_at_peak(10.0, nis=limit), ev, rng)
+    assert past.nis == limit + 1 and past.terminated
 
 
 def test_terminates_on_flat_selection_and_on_flag():
-    state = init_core_search(unit_spread_cluster(), 10, WIDE)
-    assert core_search_terminated(
-        dataclasses.replace(state, selection_spread=1e-13)) is True
-    assert core_search_terminated(
-        dataclasses.replace(state, terminated=True)) is True
+    """A constant objective gives a selection without fitness spread,
+    which sets the terminated flag on the first step."""
+    ev = Evaluator(lambda xs: np.zeros(len(xs)), WIDE, BIG)
+    state = init_core_search([Solution(np.array([0.0]), 0.0, 0)], 10, WIDE)
+    state = dataclasses.replace(state, stddev=np.array([10.0]))
+    stepped = core_search_step(state, ev, np.random.default_rng(0))
+    assert stepped.nis == 1 and stepped.c_mult == 1.0
+    assert stepped.terminated
 
 
 # --- convergence smoke ------------------------------------------------------
@@ -323,7 +362,7 @@ def test_converges_to_the_offset_peak_in_nearly_all_runs():
         ev = Evaluator(OFFSET_BOWL, WIDE, 5000)
         state = init_core_search(unit_spread_cluster(), 10, WIDE)
         rng = np.random.default_rng(seed)
-        while not core_search_terminated(state):
+        while not state.terminated:
             state = core_search_step(state, ev, rng)
         if abs(float(state.best.x[0]) - 3.0) < 1e-5:
             hits += 1

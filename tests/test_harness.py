@@ -4,6 +4,9 @@ table, failure capture, and the command-line runner."""
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +329,26 @@ def test_cli_configuration_errors_exit_one(argv, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path)])
     assert code == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_module_runs_as_a_process(tmp_path):
+    """`python -m hillvallea.cli` goes through entry() and its exit
+    code reaches the shell."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "hillvallea.cli", "--problems", "1",
+             "--out", str(tmp_path), *argv],
+            env=env, capture_output=True, text=True, timeout=300)
+
+    ok = cli("--runs", "1", "--budget-override", "1=2000")
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "scores.csv").exists()
+    bad = cli("--runs", "0")
+    assert bad.returncode == 1
+    assert "configuration error" in bad.stderr
 
 
 def test_cli_missing_data_exit_two(tmp_path, capsys):

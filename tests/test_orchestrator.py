@@ -34,6 +34,7 @@ def test_default_restart_params():
     dict(n=64, n_inc=1.0, n_c=0.8, n_c_inc=1.1),
     dict(n=64, n_inc=2.0, n_c=0.0, n_c_inc=1.1),
     dict(n=64, n_inc=2.0, n_c=0.8, n_c_inc=0.9),
+    dict(n=64.0, n_inc=2.0, n_c=0.8, n_c_inc=1.1),
 ])
 def test_restart_param_validation(kwargs):
     with pytest.raises(ValueError):

@@ -51,10 +51,15 @@ def test_problem_20_matches_table_row():
     assert (p.d, p.n_global_optima, p.budget) == (20, 8, 400_000)
 
 
-@pytest.mark.parametrize("bad_id", [0, 21, -3, 100])
+@pytest.mark.parametrize("bad_id", [0, 21, -3, 100, True, 2.0, 1.5])
 def test_out_of_range_id_rejected(bad_id):
     with pytest.raises(InvalidProblemError):
         make_problem(bad_id)
+
+
+def test_numpy_integer_id_is_stored_as_int():
+    p = make_problem(np.int64(7))
+    assert p.id == 7 and type(p.id) is int
 
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
@@ -335,6 +340,9 @@ def test_wrongly_shaped_point_raises_without_consuming(x):
     with pytest.raises(ValueError, match=re.escape(str(x.shape))):
         ev.evaluate(x)
     assert ev.evals_used == 0
+    # the shape is checked before the budget
+    with pytest.raises(ValueError, match=re.escape(str(x.shape))):
+        Evaluator(p.fn, p.bounds, 0).evaluate(x)
 
 
 @pytest.mark.parametrize("xs", WRONG_BATCHES, ids=lambda x: str(x.shape))

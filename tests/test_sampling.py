@@ -255,8 +255,10 @@ def test_greedy_subset_full_set_and_empty():
 
 
 def test_greedy_subset_oversized_request_rejected():
-    with pytest.raises(ValueError):
-        greedy_scattered_subset(np.zeros((3, 2)), 4)
+    # too many, a negative count in 2-D and 5-D, and a flat array
+    for shape, k in [((3, 2), 4), ((3, 2), -1), ((3, 5), -1), ((3,), 2)]:
+        with pytest.raises(ValueError, match="candidates"):
+            greedy_scattered_subset(np.zeros(shape), k)
 
 
 def test_greedy_subset_deterministic_members():
