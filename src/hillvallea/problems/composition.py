@@ -210,6 +210,8 @@ def load_composition(family: CompositionFamily, d: int,
             f"{path}: expected {expected} rows of {d} values "
             f"(got shape {raw.shape})"
         )
+    if not np.isfinite(raw).all():
+        raise ValueError(f"{path}: non-finite value in shifts or rotations")
     shifts = raw[:n]
     rotations = raw[n:].reshape(n, d, d)
     return CompositionFunction(family, shifts, rotations)

@@ -6,9 +6,12 @@ are already represented), and greedy scattered subset selection from 2N
 candidates down to N. None of these consume objective evaluations.
 
 In up to _GRID_MAX_D dimensions the rejection lookups and the subset
-run on grids of cells; every route draws and picks exactly what the
+run on grids of cells; these routes draw and pick exactly what the
 plain definitions do, and the grids only decide how much work that
-takes.
+takes. Wider subsets refresh distances as norms minus twice a dot
+product, which rounds differently from the plain sum of squared
+differences, so a near-tie may go the other way; tests pin that route
+to the plain loop on generic data only.
 """
 
 from __future__ import annotations
@@ -165,18 +168,11 @@ def _single_label_cells(tree: cKDTree, labels: np.ndarray, bounds: Bounds,
         cells = todo[c0:c0 + _CELL_CHUNK]
         ijk = np.stack(np.unravel_index(cells, shape), axis=1)
         dist, idx = tree.query(bounds.lower + (ijk + 0.5) * width, k=kk)
-        dist = dist.reshape(len(cells), kk)
         idx = idx.reshape(len(cells), kk)
-        near = labels[idx]
-        # the relative margin absorbs rounding in distances and cell lookup
-        reach = (dist[:, k - 1] + 2.0 * rho) * (1.0 + 1e-9)
-        inside = dist <= reach[:, None]
-        ok = ((near == near[:, :1]) | ~inside).all(axis=1)
-        if kk < tree.n:
-            seen = ~inside[:, -1]  # every point within reach was seen
-            ok &= seen
-        else:
-            seen = np.ones(len(cells), dtype=bool)
+        ok, inside = _single_label_within_reach(
+            dist.reshape(len(cells), kk) ** 2, labels[idx], k, rho)
+        seen = ~inside[:, -1] | (kk == tree.n)  # all within reach seen
+        ok &= seen
         certified[cells] = ok
         split = np.flatnonzero(seen & ~ok)
         if len(split):
@@ -224,16 +220,24 @@ def _single_label_halves(ijk: np.ndarray, in_reach: np.ndarray,
     for half in np.ndindex((2,) * d):
         sub = 2 * ijk + half
         centers = bounds.lower + (sub + 0.5) * width
-        dd = (coords[0] - centers[:, :1]) ** 2
-        for j in range(1, d):
-            dd += (coords[j] - centers[:, j:j + 1]) ** 2
-        reach = (np.sqrt(np.partition(dd, k - 1, axis=1)[:, k - 1])
-                 + 2.0 * rho) * (1.0 + 1e-9)
-        inside = dd <= (reach * reach)[:, None]
-        first = lab[np.arange(len(lab)), np.argmin(dd, axis=1)]
-        ok = ((lab == first[:, None]) | ~inside).all(axis=1)
+        ok, _ = _single_label_within_reach(
+            _sq_dist(coords, centers[:, None]), lab, k, rho)
         certified.append(np.ravel_multi_index(sub[ok].T, (per_axis,) * d))
     return np.concatenate(certified)
+
+
+def _single_label_within_reach(d2: np.ndarray, near: np.ndarray, k: int,
+                               rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of squared distances d2 from a cell center to history
+    points labelled near: whether every point within the reach
+    R_k + 2 rho, R_k the row's k-th nearest distance, carries the nearest
+    point's label, and which points lie within that reach."""
+    # the relative margin absorbs rounding in distances and cell lookup
+    reach = (np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+             + 2.0 * rho) * (1.0 + 1e-9)
+    inside = d2 <= (reach * reach)[:, None]
+    first = near[np.arange(len(near)), np.argmin(d2, axis=1)]
+    return ((near == first[:, None]) | ~inside).all(axis=1), inside
 
 
 def _box(grid: np.ndarray, half: np.ndarray, op: np.ufunc,
@@ -275,12 +279,11 @@ def greedy_scattered_subset(candidates: np.ndarray, k: int) -> np.ndarray:
 
 
 # The grid route keeps a running maximum of the cached distances per
-# block of 2**_BLOCK_SHIFT cell-sorted candidates, reads the _BATCH top
-# candidates per batch and checks them for conflicts _CONFLICT_CHUNK
-# members at a time. Speed-only knobs: the picks do not depend on them.
+# block of 2**_BLOCK_SHIFT cell-sorted candidates and reads the _BATCH
+# top candidates per batch. Speed-only knobs: the picks do not depend on
+# them.
 _BLOCK_SHIFT = 6
 _BLOCK = 1 << _BLOCK_SHIFT
-_CONFLICT_CHUNK = 64
 _BATCH = 128
 # _EARLIER[i, j]: batch member i comes before member j
 _EARLIER = np.triu(np.ones((_BATCH, _BATCH), dtype=bool), 1)
@@ -368,26 +371,21 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
     blockmax = blocks.max(axis=1)
     touched = np.zeros(nb, dtype=bool)
     lanes = np.arange(_BLOCK)
-    everyone = np.arange(n)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = seed
     m = 1
     while m < k:
         size = min(_BATCH, k - m)
         # The `size` largest values all sit in the blocks whose running
-        # maximum reaches the size-th largest block maximum.
-        if nb > size:
-            thr = blockmax[np.argpartition(blockmax, nb - size)[nb - size:]
-                           ].min()
-            pos = (np.flatnonzero(blockmax >= thr)[:, None] * _BLOCK
-                   + lanes).ravel()
-            v = vals[pos]
-            keep = np.flatnonzero(v >= thr)
-            pos = pos[keep]
-            v = v[keep]
-        else:
-            pos = everyone
-            v = mind2
+        # maximum reaches the size-th largest one (every block if fewer).
+        thr = (np.partition(blockmax, nb - size)[nb - size] if nb > size
+               else -np.inf)
+        pos = (np.flatnonzero(blockmax >= thr)[:, None] * _BLOCK
+               + lanes).ravel()
+        v = vals[pos]
+        keep = np.flatnonzero(v >= thr)
+        pos = pos[keep]
+        v = v[keep]
         if len(v) > 2 * size:
             # only values tied with or above the size-th largest can
             # make the top list; sort just those
@@ -400,28 +398,17 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
         top_d2 = v[top]
         xs = pts.take(order[top_pos], axis=0)
 
-        take = np.zeros(size, dtype=bool)
-        ceiling = -np.inf  # the most any skipped member so far holds
-        stop = size
-        for c0 in range(0, size, _CONFLICT_CHUNK):
-            c1 = min(c0 + _CONFLICT_CHUNK, size)
-            pair_d2 = _sq_dist([xs[:c1, j, None] for j in range(d)],
-                               xs[c0:c1])
-            shrinks = (pair_d2 < top_d2[c0:c1]) & _EARLIER[:c1, c0:c1]
-            skip = shrinks.any(axis=0)
-            take[c0:c1] = ~skip
-            # a skipped member's value after the picks before it
-            held = np.where(shrinks & take[:c1, None], pair_d2, np.inf
-                            ).min(axis=0)
-            np.minimum(held, top_d2[c0:c1], out=held)
-            held[~skip] = -np.inf
-            bar = np.maximum.accumulate(np.concatenate(([ceiling], held)))
-            late = np.flatnonzero(~skip & (top_d2[c0:c1] <= bar[:-1]))
-            if len(late):
-                stop = c0 + int(late[0])
-                break
-            ceiling = bar[-1]
-        take[stop:] = False
+        pair_d2 = _sq_dist([xs[:, j, None] for j in range(d)], xs)
+        shrinks = (pair_d2 < top_d2) & _EARLIER[:size, :size]
+        take = ~shrinks.any(axis=0)
+        # a skipped member's value after the picks before it
+        held = np.where(shrinks & take[:, None], pair_d2, np.inf).min(axis=0)
+        np.minimum(held, top_d2, out=held)
+        held[take] = -np.inf
+        # the most any skipped member before each picked one holds
+        late = np.flatnonzero(take & (top_d2 <= np.maximum.accumulate(held)))
+        if len(late):
+            take[late[0]:] = False
         sel = np.flatnonzero(take)
         picks = top_pos[sel]
         chosen[m:m + len(sel)] = order[picks]

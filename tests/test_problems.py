@@ -162,6 +162,21 @@ def test_missing_composition_data_names_the_file(tmp_path):
         make_problem(11, data_dir=tmp_path)
 
 
+@pytest.mark.parametrize("edit", ["nan", "inf", "truncated"])
+def test_bad_composition_data_names_the_file(tmp_path, edit):
+    """A non-finite shift or rotation entry, or a missing row, fails when
+    the file is loaded, not later inside a run."""
+    rows = (DEFAULT_DATA_DIR / "cf1_d02.txt").read_text().splitlines()
+    if edit == "truncated":
+        rows = rows[:-1]
+    else:  # the first shift for nan, the first rotation row for inf
+        row = 0 if edit == "nan" else 6
+        rows[row] = edit + " " + rows[row].split(None, 1)[1]
+    (tmp_path / "cf1_d02.txt").write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="cf1_d02.txt"):
+        make_problem(11, data_dir=tmp_path)
+
+
 def test_default_data_dir_ships_with_package():
     assert (DEFAULT_DATA_DIR / "cf1_d02.txt").is_file()
     assert (DEFAULT_DATA_DIR / "cf4_d20.txt").is_file()

@@ -86,15 +86,17 @@ def single_label_history(m: int, bounds: Bounds, seed: int):
     return pts, np.zeros(m, dtype=int)
 
 
-def test_single_cluster_history_rejects_ninety_percent(monkeypatch):
+@pytest.mark.parametrize("d", [2, 5])
+def test_single_cluster_history_rejects_ninety_percent(monkeypatch, d):
     """With one cluster covering the whole domain every raw draw faces
     the 0.9 rejection gate; the observed rejection fraction over roughly
-    ten thousand raw draws lands within 0.02 of 0.9."""
-    history = single_label_history(50, UNIT_SQUARE, seed=11)
+    ten thousand raw draws lands within 0.02 of 0.9. In 2-D the grid of
+    certified cells answers; in 5-D every gated draw goes to the tree."""
+    bounds = Bounds(np.zeros(d), np.ones(d))
+    history = single_label_history(50, bounds, seed=11)
     counter = count_draws(monkeypatch)
-    out = rejection_sample(1000, UNIT_SQUARE, *history,
-                           np.random.default_rng(42))
-    assert out.shape == (1000, 2)
+    out = rejection_sample(1000, bounds, *history, np.random.default_rng(42))
+    assert out.shape == (1000, d)
     draws = counter["draws"]
     assert draws >= 5000
     fraction = (draws - 1000) / draws
@@ -134,12 +136,14 @@ def test_redraw_cap_accepts_unconditionally(monkeypatch):
     assert counter["draws"] - 7 == 7 * sampling.MAX_REDRAWS
 
 
-def test_rejection_output_always_in_bounds_and_sized():
-    bounds = Bounds(np.array([-3.0, 2.0]), np.array([-1.0, 6.0]))
+@pytest.mark.parametrize("d", [2, 5])
+def test_rejection_output_always_in_bounds_and_sized(d):
+    bounds = Bounds(np.array([-3.0, 2.0, 0.0, -1.0, 5.0][:d]),
+                    np.array([-1.0, 6.0, 0.5, 1.0, 9.0][:d]))
     pts = sample_uniform(40, bounds, np.random.default_rng(8))
     labels = np.arange(40) % 4
     out = rejection_sample(123, bounds, pts, labels, np.random.default_rng(9))
-    assert out.shape == (123, 2)
+    assert out.shape == (123, bounds.d)
     assert np.all(out >= bounds.lower) and np.all(out <= bounds.upper)
 
 
