@@ -1,9 +1,9 @@
 """Full-scale benchmark reproduction: 50 runs of all 20 problems.
 
 This is the long-running target documented in the README (hours of CPU
-time; the 10- and 20-dimensional composition problems dominate). Score
-tables land in bench-results/full/scores.csv; per-run traces are
-skipped to keep the output small. Use --jobs to parallelize across
+time; the 10- and 20-dimensional composition problems dominate). The
+score table lands in bench-results/full/scores.csv and the per-run
+traces in bench-results/full/traces/. Use --jobs to parallelize across
 cores; further hillvallea-bench flags are passed through.
 
 Usage: python scripts/full_table.py [--jobs K]
@@ -24,6 +24,5 @@ if __name__ == "__main__":
         "--runs", "50",
         "--seed", "0",
         "--out", "bench-results/full",
-        "--no-traces",
         *sys.argv[1:],
     ]))

@@ -69,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget-override", action="append", default=[],
                         metavar="P=B", help="override problem P's budget to B "
                                             "(repeatable)")
-    parser.add_argument("--no-traces", action="store_true",
-                        help="skip writing per-run trace CSVs")
     return parser
 
 
@@ -87,7 +85,6 @@ def main(argv: list[str] | None = None) -> int:
             jobs=args.jobs,
             budget_overrides=dict(parse_budget_override(s)
                                   for s in args.budget_override),
-            write_traces=not args.no_traces,
         )
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .orchestrator import DEFAULT_XI, run
 from .problems.evaluator import Solution
-from .problems.suite import PROBLEM_IDS, Problem, make_problem
+from .problems.suite import PROBLEM_IDS, Problem, is_integer, make_problem
 from .scoring import (ACCURACY_LEVELS, LevelScores, ScoreReport, aggregate,
                       score_run)
 
@@ -38,7 +38,6 @@ class ExperimentConfig:
     out_dir: Path = Path("bench-results")
     jobs: int = 1
     budget_overrides: Mapping[int, int] = field(default_factory=dict)
-    write_traces: bool = True
 
 
 @dataclass(frozen=True)
@@ -48,26 +47,22 @@ class RunFailure:
     message: str
 
 
-def _is_int(value) -> bool:
-    # bool is a subclass of int, but True is not problem 1
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _validate(cfg: ExperimentConfig) -> None:
     if not cfg.problems:
         raise ConfigError("at least one problem id is required")
-    bad = [p for p in cfg.problems if not _is_int(p) or p not in PROBLEM_IDS]
+    bad = [p for p in cfg.problems
+           if not is_integer(p) or p not in PROBLEM_IDS]
     if bad:
         raise ConfigError(f"invalid problem ids: {bad}")
-    if not _is_int(cfg.runs) or cfg.runs < 1:
+    if not is_integer(cfg.runs) or cfg.runs < 1:
         raise ConfigError("runs must be an integer of at least 1")
-    if not _is_int(cfg.seed) or cfg.seed < 0:
+    if not is_integer(cfg.seed) or cfg.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    if not _is_int(cfg.jobs) or cfg.jobs < 1:
+    if not is_integer(cfg.jobs) or cfg.jobs < 1:
         raise ConfigError("jobs must be an integer of at least 1")
     for pid, budget in cfg.budget_overrides.items():
-        if (not _is_int(pid) or pid not in PROBLEM_IDS
-                or not _is_int(budget) or budget < 0):
+        if (not is_integer(pid) or pid not in cfg.problems
+                or not is_integer(budget) or budget < 0):
             raise ConfigError(f"bad budget override {pid}={budget}")
 
 
@@ -98,8 +93,7 @@ def _execute_run(task) -> tuple[int, int, list[LevelScores] | None, str | None]:
     try:
         # The traced benchmark pass reads the seed as the third argument.
         elites = run(problem, DEFAULT_XI, seed)
-        if trace_path is not None:
-            write_trace_csv(elites, problem.d, trace_path)
+        write_trace_csv(elites, problem.d, trace_path)
         return problem.id, run_index, score_run(elites, problem), None
     except Exception as exc:  # a failed run must not sink the experiment
         return problem.id, run_index, None, f"{type(exc).__name__}: {exc}"
@@ -113,17 +107,15 @@ def run_experiment(cfg: ExperimentConfig,
     out_dir = Path(cfg.out_dir)
     trace_dir = out_dir / "traces"
     try:
-        (trace_dir if cfg.write_traces else out_dir).mkdir(parents=True,
-                                                           exist_ok=True)
+        trace_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write output to {out_dir}: {exc}") from exc
 
     tasks = []
     for pid in sorted(problems):
         for r in range(cfg.runs):
-            trace_path = (trace_dir / f"p{pid:02d}_run{r:03d}.csv"
-                          if cfg.write_traces else None)
-            tasks.append((problems[pid], r, cfg.seed + r, trace_path))
+            tasks.append((problems[pid], r, int(cfg.seed) + r,
+                          trace_dir / f"p{pid:02d}_run{r:03d}.csv"))
 
     if cfg.jobs == 1:
         results = [_execute_run(t) for t in tasks]

@@ -12,7 +12,6 @@ doubles and the cluster-size factor grows by 1.1x per restart.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .bounds import Bounds
 from .hillvalley import (expected_edge_length, hill_valley_clustering,
                          hill_valley_test, n_test_points)
 from .problems.evaluator import (BudgetExhaustedError, Evaluator, Solution)
-from .problems.suite import Problem
+from .problems.suite import Problem, is_integer
 from .sampling import sample_initial_population
 
 SELECTION_FRACTION = 0.35
@@ -45,8 +44,7 @@ class RestartParams:
     n_c_inc: float
 
     def __post_init__(self) -> None:
-        if (isinstance(self.n, bool)
-                or not isinstance(self.n, numbers.Integral)):
+        if not is_integer(self.n):
             raise ValueError(f"population size must be an integer, "
                              f"got {self.n!r}")
         if self.n < 2:

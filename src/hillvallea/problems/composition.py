@@ -214,7 +214,10 @@ def load_composition(family: CompositionFamily, d: int,
         raise ValueError(f"{path}: non-finite value in shifts or rotations")
     shifts = raw[:n]
     rotations = raw[n:].reshape(n, d, d)
-    return CompositionFunction(family, shifts, rotations)
+    try:
+        return CompositionFunction(family, shifts, rotations)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_composition_data(path: Path, shifts: np.ndarray,

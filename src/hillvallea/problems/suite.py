@@ -76,12 +76,14 @@ _TABLE: dict[int, tuple] = {
 PROBLEM_IDS = tuple(sorted(_TABLE))
 
 
+def is_integer(value) -> bool:
+    # any Integral, numpy's too; bool is one, but True is not problem 1
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def make_problem(problem_id: int,
                  data_dir: Path | str | None = None) -> Problem:
-    # bool is an Integral, but True is not problem 1
-    if (isinstance(problem_id, bool)
-            or not isinstance(problem_id, numbers.Integral)
-            or problem_id not in _TABLE):
+    if not is_integer(problem_id) or problem_id not in _TABLE:
         raise InvalidProblemError(
             f"problem id must be an integer in 1..20, got {problem_id!r}")
     problem_id = int(problem_id)

@@ -83,14 +83,13 @@ def rejection_sample(n: int, bounds: Bounds, points: np.ndarray,
 # Both grids, the subset route's and the rejection lookups', span at
 # most _GRID_MAX_D axes. The lookups use about _CELLS_PER_HISTORY_POINT
 # cells per history point. A cell that no window of cells certifies is
-# checked against its _CERTIFY_NEIGHBORS nearest history points, in tree
-# queries of _CELL_CHUNK cells; one that fails that check is split in two
-# along every axis. Speed-only knobs: a cell that cannot be certified
-# falls back to the exact query.
+# checked against its _CERTIFY_NEIGHBORS nearest history points, in one
+# tree query; one that fails that check is split in two along every
+# axis. Speed-only knobs: a cell that cannot be certified falls back to
+# the exact query.
 _GRID_MAX_D = 3
 _CELLS_PER_HISTORY_POINT = 2
 _CERTIFY_NEIGHBORS = 32
-_CELL_CHUNK = 4096
 
 
 def _single_basin_test(points: np.ndarray, labels: np.ndarray,
@@ -161,32 +160,28 @@ def _single_label_cells(tree: cKDTree, labels: np.ndarray, bounds: Bounds,
     certified = ((block >= k) & (lowest == highest)).ravel()
 
     kk = min(_CERTIFY_NEIGHBORS, tree.n)
-    todo = np.flatnonzero(~certified)
-    halves = []  # the certified halves of cells that failed, as flat
-    # cell indices on the grid of half-size cells
-    for c0 in range(0, len(todo), _CELL_CHUNK):
-        cells = todo[c0:c0 + _CELL_CHUNK]
-        ijk = np.stack(np.unravel_index(cells, shape), axis=1)
-        dist, idx = tree.query(bounds.lower + (ijk + 0.5) * width, k=kk)
-        idx = idx.reshape(len(cells), kk)
-        ok, inside = _single_label_within_reach(
-            dist.reshape(len(cells), kk) ** 2, labels[idx], k, rho)
-        seen = ~inside[:, -1] | (kk == tree.n)  # all within reach seen
-        ok &= seen
-        certified[cells] = ok
-        split = np.flatnonzero(seen & ~ok)
-        if len(split):
-            halves.append(_single_label_halves(
-                ijk[split], np.where(inside[split], idx[split], tree.n),
-                2 * per_axis, tree, labels, bounds, k))
+    cells = np.flatnonzero(~certified)
+    ijk = np.stack(np.unravel_index(cells, shape), axis=1)
+    dist, idx = tree.query(bounds.lower + (ijk + 0.5) * width, k=kk)
+    idx = idx.reshape(len(cells), kk)
+    ok, inside = _single_label_within_reach(
+        dist.reshape(len(cells), kk) ** 2, labels[idx], k, rho)
+    seen = ~inside[:, -1] | (kk == tree.n)  # all within reach seen
+    ok &= seen
+    certified[cells] = ok
+    split = np.flatnonzero(seen & ~ok)
 
     grid = certified.reshape(shape)
     for axis in range(d):
         grid = np.repeat(grid, 2, axis=axis)
     certified = grid.ravel()
+    if len(split):
+        # the certified halves of cells that failed, as flat cell
+        # indices on the grid of half-size cells
+        certified[_single_label_halves(
+            ijk[split], np.where(inside[split], idx[split], tree.n),
+            2 * per_axis, tree, labels, bounds, k)] = True
     per_axis *= 2
-    for flat in halves:
-        certified[flat] = True
     scale = per_axis / bounds.range
 
     def cell_of(q: np.ndarray) -> np.ndarray:

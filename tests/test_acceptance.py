@@ -414,10 +414,9 @@ def test_criterion_7_full_scale_reproduction_documented():
     # The documented invocation parses and builds a valid configuration.
     args = build_parser().parse_args(
         ["--problems", "1-20", "--runs", "50", "--seed", "0",
-         "--out", "bench-results/full", "--no-traces"])
+         "--out", "bench-results/full"])
     cfg = ExperimentConfig(problems=parse_problem_ids(args.problems),
-                           runs=args.runs, seed=args.seed,
-                           out_dir=args.out, write_traces=not args.no_traces)
+                           runs=args.runs, seed=args.seed, out_dir=args.out)
     assert cfg.problems == tuple(range(1, 21)) and cfg.runs == 50
     script = readme.parent / "scripts" / "full_table.py"
     assert script.exists()

@@ -31,7 +31,7 @@ def test_config_defaults():
     cfg = ExperimentConfig(problems=(1,))
     assert cfg.runs == 50 and cfg.seed == 0
     assert cfg.jobs == 1
-    assert cfg.write_traces and cfg.out_dir == Path("bench-results")
+    assert cfg.out_dir == Path("bench-results")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -55,6 +55,7 @@ def test_config_defaults():
     dict(problems=(2,), runs=1, budget_overrides={True: 100}),
     dict(problems=(2,), runs=1, budget_overrides={2: 100.0}),
     dict(problems=(2,), runs=1, budget_overrides={2: True}),
+    dict(problems=(2,), budget_overrides={3: 100}),
 ])
 def test_invalid_configs_are_rejected(kwargs, tmp_path):
     cfg = ExperimentConfig(out_dir=tmp_path, **kwargs)
@@ -62,18 +63,15 @@ def test_invalid_configs_are_rejected(kwargs, tmp_path):
         run_experiment(cfg)
 
 
-@pytest.mark.parametrize("write_traces", [True, False])
 def test_output_path_naming_a_file_is_a_configuration_error(
-        write_traces, tmp_path, capsys):
+        tmp_path, capsys):
     out = tmp_path / "results"
     out.write_text("a file, not a directory\n")
-    cfg = ExperimentConfig(problems=(2,), runs=1, out_dir=out,
-                           write_traces=write_traces)
+    cfg = ExperimentConfig(problems=(2,), runs=1, out_dir=out)
     with pytest.raises(ConfigError) as excinfo:
         run_experiment(cfg)
     assert str(out) in str(excinfo.value)
-    argv = ["--problems", "2", "--runs", "1", "--out", str(out)]
-    code = main(argv if write_traces else argv + ["--no-traces"])
+    code = main(["--problems", "2", "--runs", "1", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and str(out) in err
@@ -123,12 +121,25 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert a == b
 
 
-def test_no_traces_flag_skips_trace_files(tmp_path):
-    cfg = ExperimentConfig(problems=(2,), runs=1, out_dir=tmp_path,
-                           budget_overrides={2: 2000}, write_traces=False)
-    run_experiment(cfg)
-    assert (tmp_path / "scores.csv").exists()
-    assert not (tmp_path / "traces").exists()
+def test_numpy_integer_config_matches_plain_integers(tmp_path):
+    """Numpy integers of any width are accepted wherever plain ones are,
+    and give the same table and traces; a uint8 seed of 255 must not
+    wrap to 0 for the second run."""
+    plain = dict(problems=(2, 4), runs=2, seed=255, jobs=1,
+                 budget_overrides={2: 2000, 4: 4000})
+    numpy = dict(problems=tuple(np.array([2, 4])), runs=np.int32(2),
+                 seed=np.uint8(255), jobs=np.int64(1),
+                 budget_overrides={np.int64(2): np.uint16(2000),
+                                   np.int16(4): np.int32(4000)})
+    for name, kwargs in (("plain", plain), ("numpy", numpy)):
+        _, failures = run_experiment(
+            ExperimentConfig(out_dir=tmp_path / name, **kwargs))
+        assert failures == []
+    names = ["scores.csv"] + [f"traces/p{p:02d}_run{r:03d}.csv"
+                              for p in (2, 4) for r in range(2)]
+    for name in names:
+        assert ((tmp_path / "numpy" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes()), name
 
 
 def test_failed_runs_are_reported_not_fatal(tmp_path, monkeypatch):
@@ -294,7 +305,7 @@ def test_parser_defaults():
     assert args.problems == "1-20" and args.runs == 50 and args.seed == 0
     assert args.data_dir is None and args.out == Path("bench-results")
     assert args.jobs == 1
-    assert args.budget_override == [] and not args.no_traces
+    assert args.budget_override == []
 
 
 def test_cli_success_exit_zero(tmp_path, capsys):
@@ -306,14 +317,6 @@ def test_cli_success_exit_zero(tmp_path, capsys):
     assert "avg: S1=1.000" in out
     assert (tmp_path / "scores.csv").exists()
     assert (tmp_path / "traces" / "p02_run000.csv").exists()
-
-
-def test_cli_no_traces(tmp_path):
-    code = main(["--problems", "2", "--runs", "1", "--out", str(tmp_path),
-                 "--no-traces", "--budget-override", "2=2000"])
-    assert code == 0
-    assert (tmp_path / "scores.csv").exists()
-    assert not (tmp_path / "traces").exists()
 
 
 @pytest.mark.parametrize("argv", [

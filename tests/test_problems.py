@@ -162,13 +162,16 @@ def test_missing_composition_data_names_the_file(tmp_path):
         make_problem(11, data_dir=tmp_path)
 
 
-@pytest.mark.parametrize("edit", ["nan", "inf", "truncated"])
+@pytest.mark.parametrize("edit", ["nan", "inf", "truncated", "zero-rotation"])
 def test_bad_composition_data_names_the_file(tmp_path, edit):
-    """A non-finite shift or rotation entry, or a missing row, fails when
-    the file is loaded, not later inside a run."""
+    """A non-finite shift or rotation entry, a missing row, or a rotation
+    block of zeros fails when the file is loaded, not later inside a
+    run."""
     rows = (DEFAULT_DATA_DIR / "cf1_d02.txt").read_text().splitlines()
     if edit == "truncated":
         rows = rows[:-1]
+    elif edit == "zero-rotation":  # the first rotation block
+        rows[6] = rows[7] = "0 0"
     else:  # the first shift for nan, the first rotation row for inf
         row = 0 if edit == "nan" else 6
         rows[row] = edit + " " + rows[row].split(None, 1)[1]
