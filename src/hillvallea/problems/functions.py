@@ -7,9 +7,11 @@ Rastrigin) are negated here once and for all.
 
 Each objective sits beside the derivation of its global optima. Positions
 are either exact by construction (trap endpoints, sine peaks, cosine
-grids) or polished numerically from analytic seeds (root finding on the
-gradient, bounded scalar minimization). Only those derivations import
-scipy.optimize, so building the other problems does not load it.
+grids) or polished from seeds on analytic derivatives with numpy alone:
+bisection on p03's log-derivative, Newton on the Shubert factor's
+derivative (p06, p08) and Newton with an explicit 2x2 inverse on
+Himmelblau's defining equations (p04) and the camel back's gradient
+(p05). No derivation calls BLAS or LAPACK.
 """
 
 from __future__ import annotations
@@ -29,6 +31,32 @@ def _lattice(axes: list[np.ndarray]) -> np.ndarray:
     """Rows of the Cartesian product of the per-coordinate values."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+# A polish that has not settled within this many steps raises.
+_POLISH_CAP = 100
+
+
+def _polish(step: Callable[[np.ndarray], np.ndarray],
+            residual: Callable[[np.ndarray], np.ndarray],
+            x: np.ndarray) -> np.ndarray:
+    """Apply step to the points (the last axis of x) until it moves none.
+
+    A point takes a step only when the step shrinks its residual: in
+    floating point, Newton's last steps can cycle among a few ulps of a
+    root, and a bisection's bracket stops narrowing once its midpoint
+    rounds onto an end.
+    """
+    r = residual(x)
+    for _ in range(_POLISH_CAP):
+        proposal = step(x)
+        r_proposal = residual(proposal)
+        moves = r_proposal < r
+        if not moves.any():
+            return x
+        x = np.where(moves, proposal, x)
+        r = np.where(moves, r_proposal, r)
+    raise RuntimeError(f"polish did not settle within {_POLISH_CAP} steps")
 
 
 # The trap's eight linear pieces, split at the breaks: piece i is
@@ -69,15 +97,23 @@ def uneven_decreasing_maxima(x: np.ndarray) -> np.ndarray:
     return env * np.sin(5.0 * np.pi * (t ** 0.75 - 0.05)) ** 6
 
 
-def _uneven_decreasing_maxima_optima() -> np.ndarray:
-    from scipy.optimize import minimize_scalar
+def _uneven_decreasing_maxima_log_slope(t: np.ndarray) -> np.ndarray:
+    """d/dt of the log of uneven_decreasing_maxima, where its sine is > 0."""
+    u = 5.0 * np.pi * (t ** 0.75 - 0.05)
+    return (-4.0 * np.log(2.0) * (t - 0.08) / 0.854 ** 2
+            + 22.5 * np.pi * t ** -0.25 * np.cos(u) / np.sin(u))
 
-    res = minimize_scalar(
-        lambda t: -uneven_decreasing_maxima(np.array([[t]]))[0],
-        bounds=(0.05, 0.12), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return np.array([[res.x]])
+
+def _uneven_decreasing_maxima_optima() -> np.ndarray:
+    # The log-derivative falls from + to - across [0.05, 0.12].
+    def halve(bracket: np.ndarray) -> np.ndarray:
+        lo, hi = bracket
+        mid = 0.5 * (lo + hi)
+        rising = _uneven_decreasing_maxima_log_slope(mid) > 0.0
+        return np.array([np.where(rising, mid, lo), np.where(rising, hi, mid)])
+
+    lo, _ = _polish(halve, lambda b: b[1] - b[0], np.array([[0.05], [0.12]]))
+    return lo[:, None]
 
 
 def himmelblau(x: np.ndarray) -> np.ndarray:
@@ -88,17 +124,22 @@ def himmelblau(x: np.ndarray) -> np.ndarray:
 
 
 def _himmelblau_optima() -> np.ndarray:
-    from scipy.optimize import fsolve
-
-    def grad(p: np.ndarray) -> list[float]:
+    # The peaks are the roots of a = x^2 + y - 11 and b = x + y^2 - 7;
+    # their Jacobian is [[2x, 1], [1, 2y]].
+    def residual(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, y = p
-        u = x * x + y - 11.0
-        v = x + y * y - 7.0
-        return [4.0 * x * u + 2.0 * v, 2.0 * u + 4.0 * y * v]
+        return x * x + y - 11.0, x + y * y - 7.0
 
-    seeds = [(3.0, 2.0), (-2.8, 3.1), (-3.78, -3.28), (3.58, -1.85)]
-    roots = [fsolve(grad, seed, xtol=1e-13) for seed in seeds]
-    return _sorted_rows(np.array(roots))
+    def newton(p: np.ndarray) -> np.ndarray:
+        x, y = p
+        a, b = residual(p)
+        det = 4.0 * x * y - 1.0
+        return np.array([x - (2.0 * y * a - b) / det,
+                         y - (2.0 * x * b - a) / det])
+
+    seeds = np.array([(3.0, 2.0), (-2.8, 3.1), (-3.78, -3.28), (3.58, -1.85)])
+    roots = _polish(newton, lambda p: np.abs(residual(p)).sum(axis=0), seeds.T)
+    return _sorted_rows(roots.T)
 
 
 def six_hump_camel_back(x: np.ndarray) -> np.ndarray:
@@ -111,22 +152,43 @@ def six_hump_camel_back(x: np.ndarray) -> np.ndarray:
 
 
 def _six_hump_camel_back_optima() -> np.ndarray:
-    from scipy.optimize import fsolve
-
-    def grad(p: np.ndarray) -> list[float]:
+    # The peaks are roots of the (minimized) camel back's gradient.
+    def gradient(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, y = p
-        return [8.0 * x - 8.4 * x ** 3 + 2.0 * x ** 5 + y,
-                x - 8.0 * y + 16.0 * y ** 3]
+        return (8.0 * x - 8.4 * x ** 3 + 2.0 * x ** 5 + y,
+                x - 8.0 * y + 16.0 * y ** 3)
 
-    roots = [fsolve(grad, seed, xtol=1e-13)
-             for seed in [(0.09, -0.71), (-0.09, 0.71)]]
-    return _sorted_rows(np.array(roots))
+    def newton(p: np.ndarray) -> np.ndarray:
+        x, y = p
+        gx, gy = gradient(p)
+        hxx = 8.0 - 25.2 * x * x + 10.0 * x ** 4
+        hyy = 48.0 * y * y - 8.0
+        det = hxx * hyy - 1.0          # the Hessian's off-diagonal is 1
+        return np.array([x - (hyy * gx - gy) / det,
+                         y - (hxx * gy - gx) / det])
+
+    seeds = np.array([(0.09, -0.71), (-0.09, 0.71)])
+    roots = _polish(newton, lambda p: np.abs(gradient(p)).sum(axis=0), seeds.T)
+    return _sorted_rows(roots.T)
+
+
+# The Shubert factor's term weights j = 1..5 and frequencies j + 1.
+_SHUBERT_J = np.arange(1.0, 6.0)
+_SHUBERT_FREQ = _SHUBERT_J + 1.0
 
 
 def _shubert_factor(y: np.ndarray) -> np.ndarray:
     """Sum_j j*cos((j+1)*y + j) over j = 1..5, per coordinate."""
-    j = np.arange(1.0, 6.0)
-    return (j * np.cos((j + 1.0) * y[..., None] + j)).sum(axis=-1)
+    j = _SHUBERT_J
+    return (j * np.cos(_SHUBERT_FREQ * y[..., None] + j)).sum(axis=-1)
+
+
+def _shubert_factor_slopes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of the factor, per coordinate."""
+    phase = _SHUBERT_FREQ * y[..., None] + _SHUBERT_J
+    weight = _SHUBERT_J * _SHUBERT_FREQ
+    return (-(weight * np.sin(phase)).sum(axis=-1),
+            -(weight * _SHUBERT_FREQ * np.cos(phase)).sum(axis=-1))
 
 
 def shubert(x: np.ndarray) -> np.ndarray:
@@ -136,30 +198,27 @@ def shubert(x: np.ndarray) -> np.ndarray:
 
 def _shubert_factor_extrema() -> tuple[np.ndarray, np.ndarray]:
     """Locations of the three lowest minima and three highest maxima of
-    the one-dimensional factor on [-10, 10], polished to ~1e-12."""
-    from scipy.optimize import minimize_scalar
+    the one-dimensional factor on [-10, 10], each a root of the factor's
+    derivative to within its rounding."""
+    def newton(y: np.ndarray) -> np.ndarray:
+        slope, curvature = _shubert_factor_slopes(y)
+        return y - slope / curvature
 
     grid = np.linspace(-10.0, 10.0, 20001)
     vals = _shubert_factor(grid)
+    # interior grid points above or below both neighbours
+    interior = (vals[1:-1] - vals[:-2]) * (vals[1:-1] - vals[2:]) > 0.0
+    locs = _polish(newton, lambda y: np.abs(_shubert_factor_slopes(y)[0]),
+                   grid[1:-1][interior])
+    vals = _shubert_factor(locs)
 
-    def polish(sign: float) -> np.ndarray:
-        v = sign * vals
-        interior = (v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])
-        locs = []
-        for i in np.flatnonzero(interior) + 1:
-            res = minimize_scalar(
-                lambda t: float(sign * _shubert_factor(np.asarray(t))),
-                bounds=(grid[i - 1], grid[i + 1]), method="bounded",
-                options={"xatol": 1e-13},
-            )
-            locs.append((res.fun, res.x))
-        best = min(f for f, _ in locs)
-        xs = np.array(sorted(x for f, x in locs if f - best < 1e-6))
+    def copies(v: np.ndarray) -> np.ndarray:
+        xs = np.sort(locs[v - v.min() < 1e-6])
         if len(xs) != 3:
             raise RuntimeError(f"expected 3 extrema copies, found {len(xs)}")
         return xs
 
-    return polish(1.0), polish(-1.0)
+    return copies(vals), copies(-vals)
 
 
 def _shubert_optima(d: int) -> np.ndarray:

@@ -209,18 +209,54 @@ def test_every_package_data_glob_matches_a_file():
             assert list(root.glob(pattern)), f"{package}: {pattern}"
 
 
-def test_problems_with_exact_optima_do_not_import_scipy_optimize():
-    # Only the numerically polished optima (p03-p06, p08) need the solver.
+def test_package_and_all_problems_do_not_import_scipy_optimize():
+    # Every optimum is derived with numpy alone.
     code = ("import sys\n"
-            "from hillvallea.problems.suite import make_problem\n"
-            "for pid in (7, 10, 16):\n"
-            "    make_problem(pid)\n"
+            "import hillvallea\n"
+            "for pid in range(1, 21):\n"
+            "    hillvallea.make_problem(pid)\n"
             "print('scipy.optimize' in sys.modules)\n")
     src = Path(functions.__file__).resolve().parents[2]
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "False"
+
+
+# What vanishes at each numerically polished optimum, from the positions.
+def _p03_log_slope(positions):
+    t = positions[:, 0]
+    u = 5.0 * np.pi * (t ** 0.75 - 0.05)
+    return (-4.0 * np.log(2.0) * (t - 0.08) / 0.854 ** 2
+            + 6.0 * 5.0 * np.pi * 0.75 * t ** -0.25 / np.tan(u))
+
+
+def _p04_equations(positions):
+    x, y = positions.T
+    return np.array([x * x + y - 11.0, x + y * y - 7.0])
+
+
+def _p05_gradient(positions):
+    x, y = positions.T
+    return np.array([8.0 * x - 8.4 * x ** 3 + 2.0 * x ** 5 + y,
+                     x - 8.0 * y + 16.0 * y ** 3])
+
+
+def _shubert_factor_slope(positions):
+    # Every coordinate is one of the 1-D factor's three lowest minima or
+    # three highest maxima.
+    y = np.unique(positions)
+    assert len(y) == 6
+    j = np.arange(1.0, 6.0)
+    return (j * (j + 1.0) * np.sin((j + 1.0) * y[:, None] + j)).sum(axis=1)
+
+
+@pytest.mark.parametrize("pid, stationarity", [
+    (3, _p03_log_slope), (4, _p04_equations), (5, _p05_gradient),
+    (6, _shubert_factor_slope), (8, _shubert_factor_slope)])
+def test_polished_optima_are_stationary(pid, stationarity):
+    values = stationarity(make_problem(pid).optima_positions)
+    assert np.abs(values).max() < 1e-9
 
 
 # --- evaluator -----------------------------------------------------------
