@@ -5,10 +5,13 @@ global optima) and one d-by-d rotation matrix per component. Shifts are
 drawn uniformly in [-4, 4]^d with a minimum pairwise separation so the
 optima sit well inside the [-5, 5]^d domain and never share a niche;
 rotations are identity for the unrotated families and orthogonal
-matrices (QR of a Gaussian draw) otherwise. Everything is seeded, so
-rerunning this script reproduces the committed files byte for byte, and
-it writes nothing else. The optima of problems 11-20 are these shift
-points; those of problems 1-10 are derived in code.
+matrices (QR of a Gaussian draw) otherwise. Everything is seeded and
+the script writes nothing else, but the QR goes through LAPACK, so the
+rotated families' files (cf3_*, cf4_*) come out byte for byte as
+committed only under the OpenBLAS kernel that wrote them (SkylakeX);
+under Haswell, Zen or Sandybridge (OPENBLAS_CORETYPE) those 8 files
+differ in their last digits. The optima of problems 11-20 are these
+shift points; those of problems 1-10 are derived in code.
 
 Usage: python scripts/generate_composition_data.py [out_dir]
 """

@@ -75,16 +75,15 @@ def guideline_pop_size(d: int) -> int:
     return int(np.ceil(10.0 * np.sqrt(d)))
 
 
-def init_core_search(cluster: list[Solution], pop_size: int,
+def init_core_search(members: np.ndarray, best: Solution, pop_size: int,
                      bounds: Bounds) -> CoreSearchState:
-    """Start a search at a cluster's members, given best first: their
-    mean, their sample standard deviation floored at a fraction of the
-    domain range, far above PARAM_TOL, and the first member as the
-    tracked best. A fresh search is never terminated."""
-    xs = np.array([m.x for m in cluster])
-    mean = xs.mean(axis=0)
-    if len(xs) > 1:
-        stddev = xs.std(axis=0, ddof=1)
+    """Start a search at a cluster, given as its members' rows and its
+    fittest member as the tracked best: the rows' mean, their sample
+    standard deviation floored at a fraction of the domain range, far
+    above PARAM_TOL. A fresh search is never terminated."""
+    mean = members.mean(axis=0)
+    if len(members) > 1:
+        stddev = members.std(axis=0, ddof=1)
     else:
         stddev = np.zeros(bounds.d)
     floors = (INIT_STDDEV_FLOOR * bounds.range,
@@ -92,7 +91,7 @@ def init_core_search(cluster: list[Solution], pop_size: int,
     stddev = np.maximum(stddev, floors[0])
     return CoreSearchState(
         mean=mean, stddev=stddev, c_mult=1.0, pop_size=pop_size, nis=0,
-        best=cluster[0], prev_mean=mean.copy(), generation=0,
+        best=best, prev_mean=mean.copy(), generation=0,
         bounds=bounds, floors=floors,
     )
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .bounds import Bounds
-from .problems.evaluator import BudgetExhaustedError, Evaluator, Solution
+from .problems.evaluator import BudgetExhaustedError, Evaluator
 
 TEST_POINT_CAP = 10
 # Spatial neighbours fetched per solution. Most walks end among a
@@ -40,67 +40,64 @@ def n_test_points(dist: float, eel: float) -> int:
     return min(TEST_POINT_CAP, 1 + int(dist / eel))
 
 
-def hill_valley_test(ev: Evaluator, a: Solution, b: Solution,
-                     n_t: int) -> bool:
-    """True when a and b appear to share a niche: with x the
-    lexicographically smaller of their positions and y the other, none
-    of the n_t probes x + k/(n_t+1)·(y − x), k = 1..n_t, scores below
-    min(a.f, b.f). Short-circuits on the first counterexample. Starting
-    from the smaller endpoint makes swapping a and b probe bit-identical
-    points.
+def hill_valley_test(ev: Evaluator, xa: np.ndarray, fa: float,
+                     xb: np.ndarray, fb: float, n_t: int) -> bool:
+    """True when points xa and xb, of fitness fa and fb, appear to share
+    a niche: with x the lexicographically smaller of the two and y the
+    other, none of the n_t probes x + k/(n_t+1)·(y − x), k = 1..n_t,
+    scores below min(fa, fb). Short-circuits on the first
+    counterexample. Starting from the smaller endpoint makes swapping
+    the two points probe bit-identical points.
 
     The probes split the segment into gaps of h = |y − x|/(n_t+1), so
     any sub-floor interval wider than h contains a probe and is always
     detected; a valley is missed only when it lies inside a single
     probe gap."""
-    ax, bx = a.x.tolist(), b.x.tolist()
+    ax, bx = xa.tolist(), xb.tolist()
     if ax == bx:
         return True
-    lo, hi = (a, b) if ax <= bx else (b, a)
-    f_min = min(a.f, b.f)
-    step = (hi.x - lo.x) / (n_t + 1)
+    lo, hi = (xa, xb) if ax <= bx else (xb, xa)
+    f_min = min(fa, fb)
+    step = (hi - lo) / (n_t + 1)
     for k in range(1, n_t + 1):
-        if ev.evaluate(lo.x + k * step) < f_min:
+        if ev.evaluate(lo + k * step) < f_min:
             return False
     return True
 
 
-def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
-                           bounds: Bounds) -> list[list[Solution]]:
-    """Partition a fitness-descending selection into niches. Each
-    cluster is a list of solutions, best first, and the clusters come
-    in the order of their best solutions.
+def hill_valley_clustering(points: np.ndarray, ev: Evaluator, bounds: Bounds,
+                           fitness: np.ndarray) -> list[list[int]]:
+    """Partition a selection, the rows of points and their fitness, best
+    first, into niches: each cluster the ascending row indices of its
+    members, the clusters in the order of their best members.
 
-    Each solution is tested against at most d+1 nearest previous
-    solutions from distinct clusters, nearest first, ties by index.
-    Worse-half solutions within one expected edge length of a candidate
-    join its cluster untested. On budget exhaustion every
-    not-yet-clustered solution becomes a singleton cluster.
+    Each point is tested against at most d+1 nearest previous points
+    from distinct clusters, nearest first, ties by index. Worse-half
+    points within one expected edge length of a candidate join its
+    cluster untested. On budget exhaustion every not-yet-clustered
+    point becomes a singleton cluster.
 
-    A solution's walk starts with its head: the fetched KD-tree
-    neighbours j < i whose exact squared distance lies below the cut
-    (the k-th fetched squared distance times _HEAD_MARGIN), sorted by
-    (distance, index). Every unfetched solution lies at or beyond the
-    cut, so the head is exactly the start of the full nearest-first
-    order; a walk that runs past it continues in a stable sort of the
-    whole prefix.
+    A point's walk starts with its head: the fetched KD-tree neighbours
+    j < i whose exact squared distance lies below the cut (the k-th
+    fetched squared distance times _HEAD_MARGIN), sorted by (distance,
+    index). Every unfetched point lies at or beyond the cut, so the
+    head is exactly the start of the full nearest-first order; a walk
+    that runs past it continues in a stable sort of the whole prefix.
     """
-    s_count = len(selection)
+    s_count = len(points)
     if s_count == 0:
         raise ValueError("selection must be non-empty")
-    fitness = np.array([s.f for s in selection])
     if np.any(np.diff(fitness) > 0):
         raise ValueError("selection must be sorted by fitness, best first")
 
     eel = expected_edge_length(s_count, bounds)
-    positions = np.array([s.x for s in selection])
     worse_half_start = -(-s_count // 2)
     max_candidates = bounds.d + 1
 
     k = min(_HEAD_K, s_count)
-    dd, ii = cKDTree(positions).query(positions, k=k)
+    dd, ii = cKDTree(points).query(points, k=k)
     dd, ii = dd.reshape(s_count, k), ii.reshape(s_count, k)
-    d2 = ((positions[ii] - positions[:, None, :]) ** 2).sum(axis=-1)
+    d2 = ((points[ii] - points[:, None, :]) ** 2).sum(axis=-1)
     in_head = ((ii < np.arange(s_count)[:, None])
                & (d2 < dd[:, -1:] ** 2 * _HEAD_MARGIN))
     d2 = np.where(in_head, d2, np.inf)
@@ -114,12 +111,12 @@ def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
         m = head_len[i]
         yield from zip(d2[i, :m].tolist(), ii[i, :m].tolist())
         if m < i:
-            row = ((positions[:i] - positions[i]) ** 2).sum(axis=1)
+            row = ((points[:i] - points[i]) ** 2).sum(axis=1)
             for j in np.argsort(row, kind="stable")[m:].tolist():
                 yield float(row[j]), j
 
     def walk(i: int) -> int:
-        """Assign solution i by testing nearest previous solutions in
+        """Assign point i by testing nearest previous points in
         distinct clusters; returns the cluster index or -1."""
         seen: set[int] = set()
         for dist2, j in nearest_first(i):
@@ -128,26 +125,25 @@ def hill_valley_clustering(selection: list[Solution], ev: Evaluator,
                 continue
             seen.add(c)
             n_t = n_test_points(math.sqrt(dist2), eel)
-            if i >= worse_half_start and n_t == 1:
-                return c
-            if hill_valley_test(ev, selection[i], selection[j], n_t):
+            if (i >= worse_half_start and n_t == 1) or hill_valley_test(
+                    ev, points[i], fitness[i], points[j], fitness[j], n_t):
                 return c
             if len(seen) == max_candidates:
                 break
         return -1
 
-    clusters = [[selection[0]]]
+    clusters = [[0]]
     assigned = [0] * s_count
     for i in range(1, s_count):
         try:
             target = walk(i)
         except BudgetExhaustedError:
-            clusters.extend([s] for s in selection[i:])
+            clusters.extend([j] for j in range(i, s_count))
             break
         if target >= 0:
-            clusters[target].append(selection[i])
+            clusters[target].append(i)
         else:
             target = len(clusters)
-            clusters.append([selection[i]])
+            clusters.append([i])
         assigned[i] = target
     return clusters

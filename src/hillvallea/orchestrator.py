@@ -12,6 +12,7 @@ doubles and the cluster-size factor grows by 1.1x per restart.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,9 @@ class RestartParams:
                              f"got {self.n!r}")
         if self.n < 2:
             raise ValueError("initial population size must be at least 2")
+        if not all(map(math.isfinite, (self.n_inc, self.n_c, self.n_c_inc))):
+            raise ValueError(f"n_inc, n_c and n_c_inc must be finite, got "
+                             f"{self.n_inc!r}, {self.n_c!r}, {self.n_c_inc!r}")
         if self.n_inc <= 1.0:
             raise ValueError("population multiplier must exceed 1")
         if self.n_c <= 0.0:
@@ -86,6 +90,7 @@ def update_elite_archive(elites: list[Solution], candidate: Solution,
     positions = np.array([e.x for e in elites])
     d2 = ((positions - candidate.x) ** 2).sum(axis=1)
     nearest = int(np.argmin(d2))
+    elite = elites[nearest]
     dist = float(np.sqrt(d2[nearest]))
     if dist <= DUPLICATE_DISTANCE_FRACTION * bounds.diagonal:
         same_niche = True
@@ -93,13 +98,14 @@ def update_elite_archive(elites: list[Solution], candidate: Solution,
         eel = expected_edge_length(len(elites) + 1, bounds)
         n_t = n_test_points(dist, eel)
         try:
-            same_niche = hill_valley_test(ev, candidate, elites[nearest], n_t)
+            same_niche = hill_valley_test(ev, candidate.x, candidate.f,
+                                          elite.x, elite.f, n_t)
         except BudgetExhaustedError:
             return
 
     if not same_niche:
         elites.append(Solution(candidate.x, candidate.f, ev.evals_used))
-    elif candidate.f > elites[nearest].f:
+    elif candidate.f > elite.f:
         elites[nearest] = candidate
         elites.sort(key=lambda e: e.eval_index)
 
@@ -132,21 +138,22 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI,
 
         n_sel = int(np.ceil(SELECTION_FRACTION * p.n))
         order = np.argsort(-fs, kind="stable")[:n_sel]
-        selection = [Solution(xs[j], float(fs[j]), base_index + int(j) + 1)
-                     for j in order]
-        clusters = hill_valley_clustering(selection, ev, bounds)
-
-        points = np.array([m.x for c in clusters for m in c])
-        labels = np.repeat(np.arange(len(clusters)), list(map(len, clusters)))
+        points, fitness = xs[order], fs[order]
+        clusters = hill_valley_clustering(points, ev, bounds, fitness)
 
         pop_size = cluster_pop_size(p, bounds.d)
         for cluster in clusters:
             if ev.remaining == 0:
                 break
-            state = init_core_search(cluster, pop_size, bounds)
+            j = order[cluster[0]]
+            best = Solution(xs[j], float(fs[j]), base_index + int(j) + 1)
+            state = init_core_search(points[cluster], best, pop_size, bounds)
             while not state.terminated:
                 state = core_search_step(state, ev, rng)
             update_elite_archive(elites, state.best, ev, bounds)
+
+        points = points[np.concatenate(clusters)]
+        labels = np.repeat(np.arange(len(clusters)), list(map(len, clusters)))
         p = restart_update(p)
 
     prune_archive(elites, ELITE_PRUNE_TOL)

@@ -422,8 +422,10 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
 
 
 def _sq_dist(cols: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Squared distances summed axis by axis in the order of
-    ((a - b) ** 2).sum(axis=1), so the doubles are identical to it."""
+    """Squared distances summed axis by axis, left to right. Below 8
+    axes these are the doubles of ((a - b) ** 2).sum(axis=1); from 8 on
+    numpy sums a row pairwise and many rows differ in their last bits.
+    Every caller has d <= 3."""
     total = (cols[0] - x[..., 0]) ** 2
     for j in range(1, len(cols)):
         total += (cols[j] - x[..., j]) ** 2

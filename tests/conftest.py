@@ -72,10 +72,13 @@ def make_solutions(fn, xs: np.ndarray,
             for i, (x, f) in enumerate(zip(xs, fs))]
 
 
-def sorted_selection(fn, xs: np.ndarray) -> list[Solution]:
-    """Solutions sorted fitness-descending, ready for clustering."""
-    sols = make_solutions(fn, xs)
-    return sorted(sols, key=lambda s: -s.f)
+def sorted_selection(fn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and their fitness under `fn`, sorted fitness-descending
+    (stable on ties), ready for clustering."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    fs = fn(xs)
+    order = np.argsort(-fs, kind="stable")
+    return xs[order], fs[order]
 
 
 class RecordingObjective:

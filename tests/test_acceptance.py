@@ -228,7 +228,7 @@ def test_criterion_6_niche_test_agrees_with_dense_grid_oracle():
             xa, xb = rng.uniform(lo, hi, size=2)
             a, b = make_solutions(fn, np.array([[xa], [xb]]))
             ev = Evaluator(fn, bounds, BIG)
-            sparse = hill_valley_test(ev, a, b, n_t)
+            sparse = hill_valley_test(ev, a.x, a.f, b.x, b.f, n_t)
 
             grid = np.linspace(min(xa, xb), max(xa, xb), 10_000)
             fgrid = fn(grid[:, None])
@@ -273,20 +273,20 @@ def test_criterion_6_clustering_invariants_across_dimensions():
         for size, seed in itertools.product((2, 9, 33), (0, 1)):
             rng = np.random.default_rng(seed)
             xs = rng.uniform(0.0, 1.0, size=(size, d))
-            selection = sorted_selection(_rugged, xs)
+            points, fitness = sorted_selection(_rugged, xs)
             clusters = hill_valley_clustering(
-                selection, Evaluator(_rugged, bounds, BIG), bounds)
+                points, Evaluator(_rugged, bounds, BIG), bounds, fitness)
             clustered = [s for c in clusters for s in c]
             assert len(clustered) == size
-            assert {id(s) for s in clustered} == {id(s) for s in selection}
+            assert set(clustered) == set(range(size))
 
         # Concave landscape: a bowl always forms a single cluster.
         for size in (2, 7, 40):
             rng = np.random.default_rng(size)
             xs = rng.uniform(0.0, 1.0, size=(size, d))
-            selection = sorted_selection(bowl_fn, xs)
+            points, fitness = sorted_selection(bowl_fn, xs)
             clusters = hill_valley_clustering(
-                selection, Evaluator(bowl_fn, bounds, BIG), bounds)
+                points, Evaluator(bowl_fn, bounds, BIG), bounds, fitness)
             assert len(clusters) == 1
             assert len(clusters[0]) == size
 
@@ -300,9 +300,9 @@ def test_criterion_6_clustering_invariants_across_dimensions():
         xs = [center.copy() for _ in range(n // 2)]
         for i in range(1, n // 2 + 1):
             xs.append(center + i * step)
-        selection = sorted_selection(bowl_fn, np.array(xs))
+        points, fitness = sorted_selection(bowl_fn, np.array(xs))
         ev = Evaluator(bowl_fn, bounds, 0)
-        clusters = hill_valley_clustering(selection, ev, bounds)
+        clusters = hill_valley_clustering(points, ev, bounds, fitness)
         assert ev.evals_used == 0
         assert len(clusters) == 1
         assert len(clusters[0]) == n

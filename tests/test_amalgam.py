@@ -28,11 +28,12 @@ OFFSET_BOWL = quadratic_bowl([3.0])
 WIDE = Bounds(np.array([-50.0]), np.array([50.0]))
 
 
-def unit_spread_cluster() -> list[Solution]:
-    """Two members straddling 0 whose sample standard deviation is 1."""
+def unit_spread_cluster() -> tuple[np.ndarray, Solution]:
+    """Two members straddling 0 whose sample standard deviation is 1,
+    and the fitter of them as the tracked best."""
     a = 1.0 / math.sqrt(2.0)
-    return [Solution(np.array([a]), -(a - 3.0) ** 2, 2),
-            Solution(np.array([-a]), -(-a - 3.0) ** 2, 1)]
+    return (np.array([[a], [-a]]),
+            Solution(np.array([a]), -(a - 3.0) ** 2, 2))
 
 
 # --- population sizing ------------------------------------------------------
@@ -67,7 +68,7 @@ def test_default_config_constants():
 def test_init_singleton_cluster_floors_the_spread():
     bounds = Bounds(np.array([-50.0]), np.array([50.0]))
     member = Solution(np.array([7.0]), -16.0, 1)
-    state = init_core_search([member], 10, bounds)
+    state = init_core_search(member.x[None, :], member, 10, bounds)
     np.testing.assert_array_equal(state.mean, np.array([7.0]))
     np.testing.assert_allclose(state.stddev, 1e-4 * 100.0)
     assert state.c_mult == 1.0
@@ -78,13 +79,12 @@ def test_init_singleton_cluster_floors_the_spread():
 
 def test_init_two_member_cluster_mean_and_sample_stddev():
     bounds = Bounds(np.array([-50.0]), np.array([50.0]))
-    members = [Solution(np.array([2.0]), -1.0, 2),
-               Solution(np.array([0.0]), -9.0, 1)]
-    state = init_core_search(members, 10, bounds)
+    best = Solution(np.array([2.0]), -1.0, 2)
+    state = init_core_search(np.array([[2.0], [0.0]]), best, 10, bounds)
     np.testing.assert_allclose(state.mean, np.array([1.0]), atol=1e-15)
     np.testing.assert_allclose(state.stddev, np.array([math.sqrt(2.0)]),
                                atol=1e-15)
-    assert state.best is members[0]
+    assert state.best is best
 
 
 # --- stepping ---------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_init_two_member_cluster_mean_and_sample_stddev():
 
 def test_step_consumes_exactly_pop_size_and_never_loses_the_best():
     ev = Evaluator(OFFSET_BOWL, WIDE, BIG)
-    state = init_core_search(unit_spread_cluster(), 10, WIDE)
+    state = init_core_search(*unit_spread_cluster(), 10, WIDE)
     rng = np.random.default_rng(0)
     best_f = state.best.f
     for step in range(1, 51):
@@ -109,7 +109,7 @@ def test_step_consumes_exactly_pop_size_and_never_loses_the_best():
 def test_step_is_deterministic():
     def one(seed):
         ev = Evaluator(OFFSET_BOWL, WIDE, BIG)
-        state = init_core_search(unit_spread_cluster(), 10, WIDE)
+        state = init_core_search(*unit_spread_cluster(), 10, WIDE)
         rng = np.random.default_rng(seed)
         for _ in range(5):
             state = core_search_step(state, ev, rng)
@@ -126,7 +126,7 @@ def test_step_is_deterministic():
 
 def test_step_without_budget_terminates_without_consuming():
     ev = Evaluator(OFFSET_BOWL, WIDE, 7)   # fewer than one population
-    state = init_core_search(unit_spread_cluster(), 10, WIDE)
+    state = init_core_search(*unit_spread_cluster(), 10, WIDE)
     stepped = core_search_step(state, ev, np.random.default_rng(0))
     assert stepped.terminated
     assert ev.evals_used == 0
@@ -144,7 +144,7 @@ def test_samples_stay_inside_bounds():
 
     bounds = Bounds(np.array([-1.0]), np.array([1.0]))
     member = Solution(np.array([1.0]), -1.0, 1)
-    state = init_core_search([member], 16, bounds)
+    state = init_core_search(member.x[None, :], member, 16, bounds)
     state = dataclasses.replace(state, stddev=np.array([100.0]))
     core_search_step(state, Evaluator(spy, bounds, BIG),
                      np.random.default_rng(3))
@@ -252,7 +252,8 @@ def test_step_matches_reference_bit_for_bit(d, pop_size, start, spread):
             mean=mean, stddev=np.full(d, spread), c_mult=1.0,
             pop_size=pop_size, nis=0, best=best, prev_mean=mean.copy(),
             generation=0, bounds=bounds,
-            floors=init_core_search([best], pop_size, bounds).floors)
+            floors=init_core_search(best.x[None, :], best, pop_size,
+                                    bounds).floors)
         return (state, Evaluator(recorder, bounds, BIG), recorder,
                 np.random.default_rng(d * 100 + pop_size))
 
@@ -292,7 +293,8 @@ def stalled_at_peak(stddev: float, nis: int = 0,
     """A search on OFFSET_BOWL centred on its peak x = 3 whose tracked
     best scores 1, above every sample: no step improves on it, and the
     selection always spans at least the gap below it."""
-    state = init_core_search([Solution(np.array([3.0]), 1.0, 0)], 10, WIDE)
+    best = Solution(np.array([3.0]), 1.0, 0)
+    state = init_core_search(best.x[None, :], best, 10, WIDE)
     return dataclasses.replace(state, stddev=np.array([stddev]), nis=nis,
                                c_mult=c_mult)
 
@@ -302,7 +304,7 @@ def test_fresh_wide_state_not_terminated():
     remain; the step after that finds the budget short and terminates
     without sampling."""
     ev = Evaluator(OFFSET_BOWL, WIDE, 10)
-    state = init_core_search(unit_spread_cluster(), 10, WIDE)
+    state = init_core_search(*unit_spread_cluster(), 10, WIDE)
     state = dataclasses.replace(state, stddev=np.array([10.0]))  # 10% range
     state = core_search_step(state, ev, np.random.default_rng(0))
     assert not state.terminated
@@ -343,7 +345,8 @@ def test_terminates_on_flat_selection_and_on_flag():
     """A constant objective gives a selection without fitness spread,
     which sets the terminated flag on the first step."""
     ev = Evaluator(lambda xs: np.zeros(len(xs)), WIDE, BIG)
-    state = init_core_search([Solution(np.array([0.0]), 0.0, 0)], 10, WIDE)
+    best = Solution(np.array([0.0]), 0.0, 0)
+    state = init_core_search(best.x[None, :], best, 10, WIDE)
     state = dataclasses.replace(state, stddev=np.array([10.0]))
     stepped = core_search_step(state, ev, np.random.default_rng(0))
     assert stepped.nis == 1 and stepped.c_mult == 1.0
@@ -360,7 +363,7 @@ def test_converges_to_the_offset_peak_in_nearly_all_runs():
     hits = 0
     for seed in range(100):
         ev = Evaluator(OFFSET_BOWL, WIDE, 5000)
-        state = init_core_search(unit_spread_cluster(), 10, WIDE)
+        state = init_core_search(*unit_spread_cluster(), 10, WIDE)
         rng = np.random.default_rng(seed)
         while not state.terminated:
             state = core_search_step(state, ev, rng)

@@ -66,9 +66,8 @@ def test_valley_between_equal_maxima_peaks():
     fn, bounds = EQUAL_MAXIMA
     rec = RecordingObjective(fn)
     ev = Evaluator(rec, bounds, BIG)
-    a = Solution(np.array([0.1]), 1.0, 1)
-    b = Solution(np.array([0.3]), 1.0, 2)
-    assert hill_valley_test(ev, a, b, 1) is False
+    assert hill_valley_test(ev, np.array([0.1]), 1.0,
+                            np.array([0.3]), 1.0, 1) is False
     # Exactly one probe, at the midpoint 0.2 where fitness drops to ~0.
     np.testing.assert_array_equal(rec.stream(), np.array([[0.2]]))
     assert ev.evals_used == 1
@@ -79,7 +78,7 @@ def test_concave_pair_shares_the_bowl():
     ev = Evaluator(fn, bounds, BIG)
     a, b = make_solutions(fn, np.array([[-1.0], [1.0]]))
     assert a.f == b.f == -1.0
-    assert hill_valley_test(ev, a, b, 3) is True
+    assert hill_valley_test(ev, a.x, a.f, b.x, b.f, 3) is True
     assert ev.evals_used == 3
 
 
@@ -87,8 +86,8 @@ def test_identical_endpoints_cost_nothing():
     ev = Evaluator(*bowl(d=2), BIG)
     a = Solution(np.array([0.5, 0.5]), -0.5, 1)
     b = Solution(np.array([0.5, 0.5]), -0.5, 2)
-    assert hill_valley_test(ev, a, a, 5) is True
-    assert hill_valley_test(ev, a, b, 5) is True
+    assert hill_valley_test(ev, a.x, a.f, a.x, a.f, 5) is True
+    assert hill_valley_test(ev, a.x, a.f, b.x, b.f, 5) is True
     assert ev.evals_used == 0
 
 
@@ -96,7 +95,7 @@ def test_valley_test_short_circuits_on_first_barrier():
     fn, bounds = EQUAL_MAXIMA
     ev = Evaluator(fn, bounds, BIG)
     a, b = make_solutions(fn, np.array([[0.1], [0.9]]))
-    assert hill_valley_test(ev, a, b, 10) is False
+    assert hill_valley_test(ev, a.x, a.f, b.x, b.f, 10) is False
     assert ev.evals_used == 1
 
 
@@ -105,8 +104,10 @@ def test_valley_test_probes_identical_points_in_both_directions():
     a, b = make_solutions(fn, np.array([[0.13], [0.82]]))
     rec_ab = RecordingObjective(fn)
     rec_ba = RecordingObjective(fn)
-    v_ab = hill_valley_test(Evaluator(rec_ab, bounds, BIG), a, b, 7)
-    v_ba = hill_valley_test(Evaluator(rec_ba, bounds, BIG), b, a, 7)
+    v_ab = hill_valley_test(Evaluator(rec_ab, bounds, BIG),
+                            a.x, a.f, b.x, b.f, 7)
+    v_ba = hill_valley_test(Evaluator(rec_ba, bounds, BIG),
+                            b.x, b.f, a.x, a.f, 7)
     assert v_ab == v_ba
     np.testing.assert_array_equal(rec_ab.stream(), rec_ba.stream())
 
@@ -116,7 +117,7 @@ def test_valley_test_propagates_budget_exhaustion():
     ev = Evaluator(fn, bounds, 2)
     a, b = make_solutions(fn, np.array([[-1.0], [1.0]]))
     with pytest.raises(BudgetExhaustedError):
-        hill_valley_test(ev, a, b, 3)
+        hill_valley_test(ev, a.x, a.f, b.x, b.f, 3)
     assert ev.evals_used == 2
 
 
@@ -126,41 +127,45 @@ def test_valley_test_propagates_budget_exhaustion():
 def test_singleton_selection_forms_one_cluster():
     fn, bounds = bowl(d=2)
     ev = Evaluator(fn, bounds, BIG)
-    sel = make_solutions(fn, np.array([[1.0, 1.0]]))
-    clusters = hill_valley_clustering(sel, ev, bounds)
+    points, fitness = sorted_selection(fn, np.array([[1.0, 1.0]]))
+    clusters = hill_valley_clustering(points, ev, bounds, fitness)
     assert len(clusters) == 1
-    assert clusters[0] == sel
+    assert clusters[0] == [0]
     assert ev.evals_used == 0
 
 
 def test_clustering_rejects_empty_selection():
     fn, bounds = bowl(d=1)
     with pytest.raises(ValueError):
-        hill_valley_clustering([], Evaluator(fn, bounds, BIG), bounds)
+        hill_valley_clustering(np.empty((0, 1)), Evaluator(fn, bounds, BIG),
+                               bounds, np.empty(0))
 
 
 def test_clustering_rejects_unsorted_selection():
     fn, bounds = bowl(d=1)
-    sel = make_solutions(fn, np.array([[2.0], [0.5]]))  # ascending f
-    assert sel[0].f < sel[1].f
+    points = np.array([[2.0], [0.5]])
+    fitness = fn(points)  # ascending
+    assert fitness[0] < fitness[1]
     with pytest.raises(ValueError):
-        hill_valley_clustering(sel, Evaluator(fn, bounds, BIG), bounds)
+        hill_valley_clustering(points, Evaluator(fn, bounds, BIG), bounds,
+                               fitness)
+
 
 
 def test_equal_maxima_selection_splits_into_five_niches():
     fn, bounds = EQUAL_MAXIMA
     peaks = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
     neighbors = peaks + 0.02
-    sel = sorted_selection(fn, np.vstack([peaks, neighbors]))
+    points, fitness = sorted_selection(fn, np.vstack([peaks, neighbors]))
     ev = Evaluator(fn, bounds, BIG)
-    clusters = hill_valley_clustering(sel, ev, bounds)
+    clusters = hill_valley_clustering(points, ev, bounds, fitness)
     assert len(clusters) == 5
     for cluster in clusters:
         assert len(cluster) == 2
-        xs = sorted(float(m.x[0]) for m in cluster)
+        xs = sorted(float(points[m, 0]) for m in cluster)
         # Each niche pairs one peak with its nearby offset point.
         assert xs[1] - xs[0] == pytest.approx(0.02, abs=1e-12)
-        assert cluster[0].f == max(m.f for m in cluster)
+        assert fitness[cluster[0]] == fitness[cluster].max()
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -168,9 +173,10 @@ def test_concave_bowl_always_one_cluster(d):
     fn, bounds = bowl(d=d)
     rng = np.random.default_rng(d)
     for size in (2, 7, 40):
-        sel = sorted_selection(fn, rng.uniform(-5.0, 5.0, size=(size, d)))
-        clusters = hill_valley_clustering(sel, Evaluator(fn, bounds, BIG),
-                                          bounds)
+        points, fitness = sorted_selection(
+            fn, rng.uniform(-5.0, 5.0, size=(size, d)))
+        clusters = hill_valley_clustering(
+            points, Evaluator(fn, bounds, BIG), bounds, fitness)
         assert len(clusters) == 1
         assert len(clusters[0]) == size
 
@@ -179,15 +185,15 @@ def test_clustering_is_a_partition_on_rugged_landscapes():
     bounds = Bounds(np.full(2, -10.0), np.full(2, 10.0))
     rng = np.random.default_rng(99)
     for size in (3, 17, 60):  # Shubert has many separated peaks
-        sel = sorted_selection(shubert,
-                               rng.uniform(-10.0, 10.0, size=(size, 2)))
+        points, fitness = sorted_selection(
+            shubert, rng.uniform(-10.0, 10.0, size=(size, 2)))
         clusters = hill_valley_clustering(
-            sel, Evaluator(shubert, bounds, BIG), bounds)
-        seen_ids = [id(m) for c in clusters for m in c]
-        assert sorted(seen_ids) == sorted(id(s) for s in sel)
-        assert len(seen_ids) == size
+            points, Evaluator(shubert, bounds, BIG), bounds, fitness)
+        seen = [m for c in clusters for m in c]
+        assert sorted(seen) == list(range(size))
+        assert all(c == sorted(c) for c in clusters)
         assert 1 <= len(clusters) <= size
-        best = [c[0].f for c in clusters]
+        best = [fitness[c[0]] for c in clusters]
         assert all(a >= b for a, b in zip(best, best[1:]))
 
 
@@ -203,10 +209,9 @@ def test_force_accept_consumes_zero_evaluations():
     while len(xs) < n:
         step = np.full(d, 0.4 * eel / math.sqrt(d))
         xs.append(np.clip(xs[-1] + step, 0.0, 1.0))
-    sel = [Solution(np.array(x), float(n - i), i + 1)
-           for i, x in enumerate(xs)]
+    fitness = np.arange(n, 0, -1, dtype=float)
     ev = Evaluator(lambda a: np.zeros(len(a)), bounds, 0)
-    clusters = hill_valley_clustering(sel, ev, bounds)
+    clusters = hill_valley_clustering(np.array(xs), ev, bounds, fitness)
     assert ev.evals_used == 0
     assert len(clusters) == 1
     assert len(clusters[0]) == n
@@ -219,14 +224,14 @@ def test_force_accept_joins_the_nearest_better_cluster():
     fn, bounds = EQUAL_MAXIMA
     peaks = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
     straggler = np.array([[0.72]])  # within one edge length of 0.7
-    sel = sorted_selection(fn, np.vstack([peaks, straggler]))
+    points, fitness = sorted_selection(fn, np.vstack([peaks, straggler]))
     ev = Evaluator(fn, bounds, BIG)
-    clusters = hill_valley_clustering(sel, ev, bounds)
+    clusters = hill_valley_clustering(points, ev, bounds, fitness)
     assert len(clusters) == 5
     straggler_cluster = next(
         c for c in clusters
-        if any(float(m.x[0]) == 0.72 for m in c))
-    assert any(float(m.x[0]) == 0.7 for m in straggler_cluster)
+        if any(float(points[m, 0]) == 0.72 for m in c))
+    assert any(float(points[m, 0]) == 0.7 for m in straggler_cluster)
 
 
 def test_budget_exhaustion_leaves_singletons():
@@ -234,13 +239,13 @@ def test_budget_exhaustion_leaves_singletons():
     # Five well-separated peaks force real valley tests; after two
     # evaluations the budget dies and the tail becomes singletons.
     peaks = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
-    sel = sorted_selection(fn, peaks)
+    points, fitness = sorted_selection(fn, peaks)
     ev = Evaluator(fn, bounds, 2)
-    clusters = hill_valley_clustering(sel, ev, bounds)
+    clusters = hill_valley_clustering(points, ev, bounds, fitness)
     assert ev.evals_used == 2
     # Still a partition of all five.
-    seen_ids = [id(m) for c in clusters for m in c]
-    assert sorted(seen_ids) == sorted(id(s) for s in sel)
+    seen = [m for c in clusters for m in c]
+    assert sorted(seen) == list(range(5))
     assert len(clusters) == 5  # nothing merged on partial evidence
 
 
@@ -252,10 +257,10 @@ def test_budget_exhaustion_leaves_singletons():
 # evaluation streams.
 
 
-def reference_clustering(selection, ev, bounds):
+def reference_clustering(points, fitness, ev, bounds):
     """Plain restatement of the clustering contract; returns the cluster
     index per selection position."""
-    s_count = len(selection)
+    s_count = len(points)
     eel = expected_edge_length(s_count, bounds)
     worse_half_start = -(-s_count // 2)
     max_candidates = bounds.d + 1
@@ -266,7 +271,7 @@ def reference_clustering(selection, ev, bounds):
     for i in range(1, s_count):
         target = -1
         if not exhausted:
-            d2 = [float(((selection[j].x - selection[i].x) ** 2).sum())
+            d2 = [float(((points[j] - points[i]) ** 2).sum())
                   for j in range(i)]
             seen = set()
             try:
@@ -279,7 +284,8 @@ def reference_clustering(selection, ev, bounds):
                     if i >= worse_half_start and n_t == 1:
                         target = c
                         break
-                    if hill_valley_test(ev, selection[i], selection[j], n_t):
+                    if hill_valley_test(ev, points[i], fitness[i],
+                                        points[j], fitness[j], n_t):
                         target = c
                         break
                     if len(seen) == max_candidates:
@@ -294,12 +300,11 @@ def reference_clustering(selection, ev, bounds):
     return assigned
 
 
-def cluster_assignment(clusters, selection):
-    index_of = {id(s): k for k, s in enumerate(selection)}
-    assigned = [-1] * len(selection)
+def cluster_assignment(clusters, s_count):
+    assigned = [-1] * s_count
     for ci, cluster in enumerate(clusters):
         for member in cluster:
-            assigned[index_of[id(member)]] = ci
+            assigned[member] = ci
     return assigned
 
 
@@ -311,15 +316,15 @@ def rugged_fn(freq: float):
 
 
 def assert_routes_agree(fn, bounds, budget, xs):
-    sel = sorted_selection(fn, xs)
+    points, fitness = sorted_selection(fn, xs)
     rec_new = RecordingObjective(fn)
     rec_ref = RecordingObjective(fn)
     ev_new = Evaluator(rec_new, bounds, budget)
     ev_ref = Evaluator(rec_ref, bounds, budget)
 
-    clusters = hill_valley_clustering(sel, ev_new, bounds)
-    got = cluster_assignment(clusters, sel)
-    want = reference_clustering(sel, ev_ref, bounds)
+    clusters = hill_valley_clustering(points, ev_new, bounds, fitness)
+    got = cluster_assignment(clusters, len(points))
+    want = reference_clustering(points, fitness, ev_ref, bounds)
 
     assert got == want
     assert ev_new.evals_used == ev_ref.evals_used

@@ -35,6 +35,12 @@ def test_default_restart_params():
     dict(n=64, n_inc=2.0, n_c=0.0, n_c_inc=1.1),
     dict(n=64, n_inc=2.0, n_c=0.8, n_c_inc=0.9),
     dict(n=64.0, n_inc=2.0, n_c=0.8, n_c_inc=1.1),
+    dict(n=64, n_inc=float("nan"), n_c=0.8, n_c_inc=1.1),
+    dict(n=64, n_inc=2.0, n_c=float("nan"), n_c_inc=1.1),
+    dict(n=64, n_inc=2.0, n_c=0.8, n_c_inc=float("nan")),
+    dict(n=64, n_inc=float("inf"), n_c=0.8, n_c_inc=1.1),
+    dict(n=64, n_inc=2.0, n_c=float("inf"), n_c_inc=1.1),
+    dict(n=64, n_inc=2.0, n_c=0.8, n_c_inc=float("inf")),
 ])
 def test_restart_param_validation(kwargs):
     with pytest.raises(ValueError):
@@ -212,9 +218,9 @@ def test_next_restart_history_labels_each_selected_point_by_its_cluster(
     sample_fn = orchestrator.sample_initial_population
     partitions, histories = [], []
 
-    def clustering(selection, ev, bounds):
-        clusters = cluster_fn(selection, ev, bounds)
-        partitions.append((selection, clusters))
+    def clustering(points, ev, bounds, fitness):
+        clusters = cluster_fn(points, ev, bounds, fitness)
+        partitions.append((points, clusters))
         return clusters
 
     def sampling(n, bounds, points, labels, rng):
@@ -229,12 +235,66 @@ def test_next_restart_history_labels_each_selected_point_by_its_cluster(
     assert any(len(clusters) > 1 for _, clusters in partitions)
     for (selection, clusters), (points, labels) in zip(partitions,
                                                        histories[1:]):
-        label = {id(m): k for k, c in enumerate(clusters) for m in c}
         by_point = {tuple(x): k for x, k in zip(points.tolist(),
                                                 labels.tolist())}
         assert len(points) == len(labels) == len(by_point) == len(selection)
-        for s in selection:
-            assert by_point[tuple(s.x.tolist())] == label[id(s)]
+        for k, cluster in enumerate(clusters):
+            for m in cluster:
+                assert by_point[tuple(selection[m].tolist())] == k
+
+
+def test_each_core_search_starts_from_its_clusters_fittest_member(
+        monkeypatch):
+    """A search gets its cluster's rows, and tracks as its best the
+    first (fittest) of them, stamped with the evaluation index that
+    point had in the restart's initial population."""
+    cluster_fn = orchestrator.hill_valley_clustering
+    sample_fn = orchestrator.sample_initial_population
+    init_fn = orchestrator.init_core_search
+    problem = make_problem(4)
+    rec = RecordingObjective(problem.fn)
+    events = []
+
+    def sampling(n, bounds, points, labels, rng):
+        xs = sample_fn(n, bounds, points, labels, rng)
+        events.append(("sample", rec.n_evals, xs))
+        return xs
+
+    def clustering(points, ev, bounds, fitness):
+        clusters = cluster_fn(points, ev, bounds, fitness)
+        events.append(("cluster", points, fitness, clusters))
+        return clusters
+
+    def init(members, best, pop_size, bounds):
+        events.append(("init", members, best))
+        return init_fn(members, best, pop_size, bounds)
+
+    monkeypatch.setattr(orchestrator, "sample_initial_population", sampling)
+    monkeypatch.setattr(orchestrator, "hill_valley_clustering", clustering)
+    monkeypatch.setattr(orchestrator, "init_core_search", init)
+    run(dataclasses.replace(problem, fn=rec, budget=6000), seed=0)
+
+    searches = 0
+    for event in events:
+        if event[0] == "sample":
+            _, base, xs = event
+        elif event[0] == "cluster":
+            _, points, fitness, clusters = event
+            pending = iter(clusters)
+        else:
+            _, members, best = event
+            cluster = next(pending)
+            np.testing.assert_array_equal(members, points[cluster])
+            first = cluster[0]
+            np.testing.assert_array_equal(best.x, points[first])
+            assert best.f == fitness[first] == fitness[cluster].max()
+            assert base < best.eval_index <= base + len(xs)
+            np.testing.assert_array_equal(
+                xs[best.eval_index - base - 1], best.x)
+            np.testing.assert_array_equal(
+                rec.rows[best.eval_index - 1], best.x)
+            searches += 1
+    assert searches > 1
 
 
 def test_run_respects_budget_exactly():

@@ -403,6 +403,22 @@ def test_public_dispatch_agrees_with_eager_selection():
                 greedy_scattered_subset(candidates, k), expected)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sq_dist_gives_the_doubles_of_numpy_row_sums(d):
+    """Below 8 axes numpy sums a row left to right, as _sq_dist does;
+    the grid routes and the cell certification rely on the equality."""
+    rng = np.random.default_rng(500 + d)
+    a = rng.uniform(-5.0, 7.0, size=(20000, d))
+    x = rng.uniform(-5.0, 7.0, size=d)
+    np.testing.assert_array_equal(
+        sampling._sq_dist([a[:, j] for j in range(d)], x),
+        ((a - x) ** 2).sum(axis=1))
+    b = a[:300]
+    np.testing.assert_array_equal(
+        sampling._sq_dist([b[:, j, None] for j in range(d)], b),
+        ((b[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
+
+
 # --- initial population pipeline -------------------------------------------
 
 
