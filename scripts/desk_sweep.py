@@ -29,8 +29,8 @@ def readme_row(scores: ProblemScores) -> str:
     and mean dynamic F1 over runs and accuracy levels."""
     problem = make_problem(scores.problem_id)
     name = problem.name.lower().replace(" function", "")
-    return (f"| {problem.id} {name} ({problem.d}D) | {scores.s1:.4f} "
-            f"| {np.mean(scores.sr):.1f} | {scores.s3:.3f} |")
+    return (f"| {problem.id} {name} ({problem.d}D) | {scores.score('S1'):.4f} "
+            f"| {np.mean(scores.sr):.1f} | {scores.score('S3'):.3f} |")
 
 
 def main() -> int:

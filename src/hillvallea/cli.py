@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .harness import ConfigError, ExperimentConfig, run_experiment
 from .problems.suite import MissingDataError
+from .scoring import SCENARIOS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,11 +101,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     for p in report.problems:
-        print(f"problem {p.problem_id:2d}: S1={p.s1:.3f} S2={p.s2:.3f} "
-              f"S3={p.s3:.3f} over {p.n_runs} runs")
+        scores = " ".join(f"{s}={p.score(s):.3f}" for s in SCENARIOS)
+        print(f"problem {p.problem_id:2d}: {scores} over {p.n_runs} runs")
     if report.problems:
-        print(f"avg: S1={report.grand_s1:.3f} S2={report.grand_s2:.3f} "
-              f"S3={report.grand_s3:.3f}")
+        print("avg: " + " ".join(f"{s}={report.grand(s):.3f}"
+                                 for s in SCENARIOS))
     if failures:
         for fail in failures:
             print(f"FAILED problem {fail.problem_id} run {fail.run_index}: "

@@ -19,10 +19,8 @@ import numpy as np
 from .orchestrator import DEFAULT_XI, run
 from .problems.evaluator import Solution
 from .problems.suite import PROBLEM_IDS, Problem, is_integer, make_problem
-from .scoring import (ACCURACY_LEVELS, LevelScores, ScoreReport, aggregate,
-                      score_run)
-
-SCENARIOS = ("S1", "S2", "S3")
+from .scoring import (ACCURACY_LEVELS, SCENARIOS, LevelScores, ScoreReport,
+                      aggregate, score_run)
 
 
 class ConfigError(ValueError):
@@ -137,10 +135,6 @@ def run_experiment(cfg: ExperimentConfig,
     return report, failures
 
 
-def _scenario_levels(p, scenario: str) -> tuple[float, ...]:
-    return {"S1": p.pr, "S2": p.f1, "S3": p.dyn_f1}[scenario]
-
-
 def emit_tables(report: ScoreReport, out_dir: Path | str) -> Path:
     """Write scores.csv: one row per (problem, scenario) with the
     per-level scores and their mean, plus an 'avg' summary row per
@@ -152,21 +146,17 @@ def emit_tables(report: ScoreReport, out_dir: Path | str) -> Path:
     lines = [",".join(cols)]
     for p in report.problems:
         for scenario in SCENARIOS:
-            per_level = _scenario_levels(p, scenario)
-            mean = float(np.mean(per_level))
-            row = [str(p.problem_id), scenario, f"{mean:.17g}"]
-            row += [f"{v:.17g}" for v in per_level]
+            row = [str(p.problem_id), scenario, f"{p.score(scenario):.17g}"]
+            row += [f"{v:.17g}" for v in p.levels(scenario)]
             lines.append(",".join(row))
     if report.problems:
-        for scenario, grand in zip(
-                SCENARIOS,
-                (report.grand_s1, report.grand_s2, report.grand_s3)):
+        for scenario in SCENARIOS:
             by_level = [
-                float(np.mean([_scenario_levels(p, scenario)[k]
+                float(np.mean([p.levels(scenario)[k]
                                for p in report.problems]))
                 for k in range(len(ACCURACY_LEVELS))]
             lines.append(",".join(
-                ["avg", scenario, f"{grand:.17g}"]
+                ["avg", scenario, f"{report.grand(scenario):.17g}"]
                 + [f"{v:.17g}" for v in by_level]))
     path = out_dir / "scores.csv"
     path.write_text("\n".join(lines) + "\n")

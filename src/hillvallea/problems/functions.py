@@ -9,9 +9,10 @@ Each objective sits beside the derivation of its global optima. Positions
 are either exact by construction (trap endpoints, sine peaks, cosine
 grids) or polished from seeds on analytic derivatives with numpy alone:
 bisection on p03's log-derivative, Newton on the Shubert factor's
-derivative (p06, p08) and Newton with an explicit 2x2 inverse on
-Himmelblau's defining equations (p04) and the camel back's gradient
-(p05). No derivation calls BLAS or LAPACK.
+derivative (p06, p08) and one Newton step with an explicit 2x2 inverse
+on Himmelblau's defining equations (p04) and the camel back's gradient
+(p05), whose Jacobians both have a unit off-diagonal. No derivation
+calls BLAS or LAPACK.
 """
 
 from __future__ import annotations
@@ -123,6 +124,17 @@ def himmelblau(x: np.ndarray) -> np.ndarray:
     return 200.0 - a * a - b * b
 
 
+def _newton_step(p: np.ndarray, residual: tuple[np.ndarray, np.ndarray],
+                 diagonal: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One Newton step on a 2-D system whose Jacobian at p is
+    [[diagonal[0], 1], [1, diagonal[1]]], with its explicit inverse."""
+    x, y = p
+    a, b = residual
+    dx, dy = diagonal
+    det = dx * dy - 1.0
+    return np.array([x - (dy * a - b) / det, y - (dx * b - a) / det])
+
+
 def _himmelblau_optima() -> np.ndarray:
     # The peaks are the roots of a = x^2 + y - 11 and b = x + y^2 - 7;
     # their Jacobian is [[2x, 1], [1, 2y]].
@@ -131,11 +143,7 @@ def _himmelblau_optima() -> np.ndarray:
         return x * x + y - 11.0, x + y * y - 7.0
 
     def newton(p: np.ndarray) -> np.ndarray:
-        x, y = p
-        a, b = residual(p)
-        det = 4.0 * x * y - 1.0
-        return np.array([x - (2.0 * y * a - b) / det,
-                         y - (2.0 * x * b - a) / det])
+        return _newton_step(p, residual(p), (2.0 * p[0], 2.0 * p[1]))
 
     seeds = np.array([(3.0, 2.0), (-2.8, 3.1), (-3.78, -3.28), (3.58, -1.85)])
     roots = _polish(newton, lambda p: np.abs(residual(p)).sum(axis=0), seeds.T)
@@ -159,13 +167,10 @@ def _six_hump_camel_back_optima() -> np.ndarray:
                 x - 8.0 * y + 16.0 * y ** 3)
 
     def newton(p: np.ndarray) -> np.ndarray:
-        x, y = p
-        gx, gy = gradient(p)
-        hxx = 8.0 - 25.2 * x * x + 10.0 * x ** 4
-        hyy = 48.0 * y * y - 8.0
-        det = hxx * hyy - 1.0          # the Hessian's off-diagonal is 1
-        return np.array([x - (hyy * gx - gy) / det,
-                         y - (hxx * gy - gx) / det])
+        x, y = p                       # the Hessian's off-diagonal is 1
+        hessian_diagonal = (8.0 - 25.2 * x * x + 10.0 * x ** 4,
+                            48.0 * y * y - 8.0)
+        return _newton_step(p, gradient(p), hessian_diagonal)
 
     seeds = np.array([(0.09, -0.71), (-0.09, 0.71)])
     roots = _polish(newton, lambda p: np.abs(gradient(p)).sum(axis=0), seeds.T)

@@ -4,9 +4,15 @@ A solution counts as a distinct global optimum when its fitness is
 within epsilon of an optimum's fitness and it lies within the problem's
 niche radius of that optimum; each optimum can be claimed once, fittest
 solutions first. Peak ratio, success rate, and the static and dynamic
-F1 measures are built on that count. Scenario scores: S1 averages the
-peak ratio over the five accuracy levels, S2 the static F1, S3 the
-dynamic F1.
+F1 measures are built on that count. score_run scores a run at every
+accuracy level; count_distinct_global gives one level's count.
+
+Each scenario score is the mean of one measure over the five accuracy
+levels, as SCENARIOS maps it:
+
+    S1  peak ratio   (pr)
+    S2  static F1    (f1)
+    S3  dynamic F1   (dyn_f1)
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .problems.evaluator import Solution
 from .problems.suite import InvalidProblemError, Problem
 
 ACCURACY_LEVELS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+SCENARIOS = {"S1": "pr", "S2": "f1", "S3": "dyn_f1"}
 
 
 class InvalidTraceError(ValueError):
@@ -32,50 +39,44 @@ def count_distinct_global(solutions: Sequence[Solution], problem: Problem,
     """Greedy matching, fittest solution first: claim the nearest
     unclaimed optimum whose fitness differs by at most eps and whose
     position is within the niche radius."""
-    fs, xs, order = _fittest_first(solutions)
-    claimers, claims = _claims(fs, xs, order, problem, eps)
-    return _greedy_count(claimers, claims, len(solutions))
+    level = _level_claims(_claims(solutions, problem), eps)
+    return _greedy_count(level, len(solutions))
 
 
-def _fittest_first(solutions: Sequence[Solution]
-                   ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The solutions' fitness and position arrays, and their indices
-    fittest first (stable on ties)."""
-    fs = np.array([s.f for s in solutions])
-    xs = np.array([s.x for s in solutions])
-    return fs, xs, np.argsort(-fs, kind="stable").tolist()
-
-
-def _claims(fs: np.ndarray, xs: np.ndarray, order: list[int],
-            problem: Problem, eps: float
-            ) -> tuple[list[int], list[list[int]]]:
-    """For each solution, the optima it may claim while they are
-    unclaimed: fitness within eps, position within the niche radius,
-    nearest first and the lower index first on equal distances. Also
-    the solutions with any claim, in the given order."""
+def _claims(solutions: Sequence[Solution], problem: Problem
+            ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The solutions fittest first (stable on ties), each as its index,
+    the optima within the niche radius of it, nearest first and the
+    lower index first on equal distances, and their fitness gaps
+    |f - f_opt|."""
     opt_pos = problem.optima_positions
     opt_fit = problem.optima_fitness
     radius_sq = problem.niche_radius ** 2
+    fs = np.array([s.f for s in solutions])
     claims = []
-    for f, x in zip(fs, xs):
-        close_fit = np.abs(opt_fit - f) <= eps
-        if not close_fit.any():
-            claims.append([])
-            continue
-        d2 = ((opt_pos - x) ** 2).sum(axis=1)
-        hits = np.flatnonzero(close_fit & (d2 <= radius_sq))
-        claims.append(hits[np.argsort(d2[hits], kind="stable")].tolist())
-    return [i for i in order if claims[i]], claims
+    for i in np.argsort(-fs, kind="stable").tolist():
+        d2 = ((opt_pos - solutions[i].x) ** 2).sum(axis=1)
+        near = np.flatnonzero(d2 <= radius_sq)
+        near = near[np.argsort(d2[near], kind="stable")]
+        claims.append((i, near, np.abs(opt_fit[near] - fs[i])))
+    return claims
 
 
-def _greedy_count(order: list[int], claims: list[list[int]],
-                  upto: int) -> int:
-    """Optima claimed by the solutions with index below upto, taken in
-    the given fittest-first order, each claiming its nearest open one."""
+def _level_claims(claims: list[tuple[int, np.ndarray, np.ndarray]],
+                  eps: float) -> list[tuple[int, list[int]]]:
+    """The claims whose fitness gap is at most eps: each solution that
+    has any, in the same order, with its optima in the same order."""
+    level = [(i, near[gap <= eps].tolist()) for i, near, gap in claims]
+    return [(i, optima) for i, optima in level if optima]
+
+
+def _greedy_count(level: list[tuple[int, list[int]]], upto: int) -> int:
+    """Optima claimed by the solutions with index below upto, taken
+    fittest first, each claiming its nearest open one."""
     claimed = set()
-    for i in order:
+    for i, optima in level:
         if i < upto:
-            for j in claims[i]:
+            for j in optima:
                 if j not in claimed:
                     claimed.add(j)
                     break
@@ -100,48 +101,6 @@ def f1(pr: float, sr: float) -> float:
     return 2.0 * pr * sr / (pr + sr)
 
 
-def dyn_f1(solutions: Sequence[Solution], problem: Problem,
-           eps: float) -> float:
-    """Time-weighted F1 of a run's solutions, given in acceptance order
-    with the evaluation index at which each was found as eval_index,
-    over problem.budget. Each obtained solution set is credited for the
-    span of evaluations during which it was the current set, the full
-    set for the span from its completion to the budget's end. The span
-    before the first solution earns nothing.
-
-    Each prefix is counted as count_distinct_global counts it: a
-    solution's claimable optima do not depend on the prefix, and a
-    prefix's fittest-first order is the whole list's stable order
-    restricted to it, so both are worked out once."""
-    fs, xs, order = _fittest_first(solutions)
-    claimers, claims = _claims(fs, xs, order, problem, eps)
-    return _dyn_f1(solutions, claimers, claims, problem)
-
-
-def _dyn_f1(solutions: Sequence[Solution], claimers: list[int],
-            claims: list[list[int]], problem: Problem) -> float:
-    t = len(solutions)
-    if t == 0:
-        return 0.0
-    fevals = np.array([s.eval_index for s in solutions], dtype=int)
-    budget = problem.budget
-    if np.any(np.diff(fevals) <= 0):
-        raise InvalidTraceError("eval_index must strictly ascend")
-    if fevals[0] < 1 or fevals[-1] > budget:
-        raise InvalidTraceError("solutions must lie within the run budget")
-    n_global = problem.n_global_optima
-
-    def prefix_f1(upto: int) -> float:
-        g = _greedy_count(claimers, claims, upto)
-        return f1(peak_ratio(g, n_global), success_rate(g, upto))
-
-    total = (budget - fevals[-1]) / budget * prefix_f1(t)
-    for i in range(2, t + 1):
-        width = (fevals[i - 1] - fevals[i - 2]) / budget
-        total += width * prefix_f1(i - 1)
-    return float(total)
-
-
 @dataclass(frozen=True)
 class LevelScores:
     eps: float
@@ -155,19 +114,41 @@ class LevelScores:
 def score_run(solutions: Sequence[Solution],
               problem: Problem) -> list[LevelScores]:
     """Score one run's elites, as run returns them, at every accuracy
-    level. Each level's claims serve both its count and its dynamic
-    F1."""
+    level. The solutions come in acceptance order, each with the
+    evaluation index at which it was found as eval_index.
+
+    The dynamic F1 is a time-weighted F1 over problem.budget. Each
+    obtained solution set, a prefix of the solutions, is credited for
+    the span of evaluations during which it was the current set, the
+    full set for the span from its completion to the budget's end. The
+    span before the first solution earns nothing. Each prefix is counted
+    as count_distinct_global counts it: a solution's claims do not
+    depend on the prefix, and a prefix's fittest-first order is the
+    whole list's stable order restricted to it, so both are worked out
+    once per run."""
     t = len(solutions)
-    fs, xs, order = _fittest_first(solutions)
+    budget = problem.budget
+    fevals = np.array([s.eval_index for s in solutions], dtype=int)
+    if np.any(np.diff(fevals) <= 0):
+        raise InvalidTraceError("eval_index must strictly ascend")
+    if np.any((fevals < 1) | (fevals > budget)):
+        raise InvalidTraceError("solutions must lie within the run budget")
+    claims = _claims(solutions, problem)
+    n_global = problem.n_global_optima
     out = []
     for eps in ACCURACY_LEVELS:
-        claimers, claims = _claims(fs, xs, order, problem, eps)
-        g = _greedy_count(claimers, claims, t)
-        pr = peak_ratio(g, problem.n_global_optima)
+        level = _level_claims(claims, eps)
+        g = _greedy_count(level, t)
+        pr = peak_ratio(g, n_global)
         sr = success_rate(g, t)
-        out.append(LevelScores(
-            eps=eps, g=g, pr=pr, sr=sr, f1=f1(pr, sr),
-            dyn_f1=_dyn_f1(solutions, claimers, claims, problem)))
+        f1_all = f1(pr, sr)
+        dyn = (budget - fevals[-1]) / budget * f1_all if t else 0.0
+        for i in range(1, t):
+            g_i = _greedy_count(level, i)
+            dyn += ((fevals[i] - fevals[i - 1]) / budget
+                    * f1(peak_ratio(g_i, n_global), success_rate(g_i, i)))
+        out.append(LevelScores(eps=eps, g=g, pr=pr, sr=sr, f1=f1_all,
+                               dyn_f1=float(dyn)))
     return out
 
 
@@ -180,34 +161,21 @@ class ProblemScores:
     f1: tuple[float, ...]
     dyn_f1: tuple[float, ...]
 
-    @property
-    def s1(self) -> float:
-        return float(np.mean(self.pr))
+    def levels(self, scenario: str) -> tuple[float, ...]:
+        """The per-level values that the scenario averages."""
+        return getattr(self, SCENARIOS[scenario])
 
-    @property
-    def s2(self) -> float:
-        return float(np.mean(self.f1))
-
-    @property
-    def s3(self) -> float:
-        return float(np.mean(self.dyn_f1))
+    def score(self, scenario: str) -> float:
+        return float(np.mean(self.levels(scenario)))
 
 
 @dataclass(frozen=True)
 class ScoreReport:
     problems: tuple[ProblemScores, ...]
 
-    @property
-    def grand_s1(self) -> float:
-        return float(np.mean([p.s1 for p in self.problems]))
-
-    @property
-    def grand_s2(self) -> float:
-        return float(np.mean([p.s2 for p in self.problems]))
-
-    @property
-    def grand_s3(self) -> float:
-        return float(np.mean([p.s3 for p in self.problems]))
+    def grand(self, scenario: str) -> float:
+        """The scenario's score averaged over the problems."""
+        return float(np.mean([p.score(scenario) for p in self.problems]))
 
 
 def aggregate(per_problem: dict[int, list[list[LevelScores]]]) -> ScoreReport:

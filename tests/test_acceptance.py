@@ -32,8 +32,8 @@ from hillvallea.problems.evaluator import Evaluator, Solution
 from hillvallea.problems.suite import MissingDataError, make_problem
 from hillvallea.sampling import greedy_scattered_subset
 from hillvallea.scoring import (ACCURACY_LEVELS, LevelScores, aggregate,
-                                count_distinct_global, dyn_f1, f1,
-                                peak_ratio, score_run, success_rate)
+                                count_distinct_global, f1, peak_ratio,
+                                score_run, success_rate)
 
 from conftest import BIG, bowl, make_solutions, sorted_selection, \
     synthetic_problem
@@ -372,9 +372,10 @@ def test_criterion_6_dynamic_f1_matches_independent_integrator():
                 sols.append(Solution(np.array([opt + 0.5]), 1.0, int(fe)))
             else:             # right position, fitness outside every level
                 sols.append(Solution(np.array([opt]), 0.3, int(fe)))
+        dyn = {s.eps: s.dyn_f1 for s in score_run(sols, problem)}
         for eps in (1e-1, 1e-3):
             expected = _integrated_f1(sols, problem, eps)
-            assert abs(dyn_f1(sols, problem, eps) - expected) <= 1e-12
+            assert abs(dyn[eps] - expected) <= 1e-12
 
 
 def test_criterion_6_fuzzed_runs_never_exceed_budget():

@@ -1,4 +1,4 @@
-"""Golden traces: seed-0 runs of the easy problems must reproduce the
+"""Golden traces: seed-0 runs of problems 1-12 must reproduce the
 committed fingerprints bit for bit.
 
 A fingerprint holds a SHA-256 of the elites the run returns (each
@@ -6,8 +6,10 @@ one's acceptance index, fitness and position, in acceptance order: the
 rows of its trace file), a SHA-256 of every point the run evaluated (in
 call order), the evaluation count and a SHA-256 of the run's scores at
 every accuracy level.
-The covered problems are at most three-dimensional, so no step of these
-runs goes through BLAS; the hashes are still only guaranteed on one
+No step of the runs of problems 1-10 goes through BLAS. Problems 11 and
+12 multiply by their rotation matrices, which are identities: each
+product's sum has one nonzero term, so no BLAS kernel or thread count
+can change its bits. The hashes are still only guaranteed on one
 platform (numpy build and CPU). Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -38,7 +40,7 @@ from hillvallea.problems.suite import make_problem
 from hillvallea.scoring import score_run
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden" / "seed0_traces.json"
-GOLDEN_PIDS = tuple(range(1, 11))
+GOLDEN_PIDS = tuple(range(1, 13))
 
 
 def fingerprint(pid: int, seed: int = 0) -> dict:

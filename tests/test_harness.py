@@ -86,8 +86,8 @@ def test_three_runs_of_equal_maxima(tmp_path):
     assert failures == []
     (p,) = report.problems
     assert p.problem_id == 2 and p.n_runs == 3
-    assert p.s1 == 1.0
-    assert p.s2 == p.s1 == 1.0
+    assert p.score("S1") == 1.0
+    assert p.score("S2") == p.score("S1") == 1.0
     for r in range(3):
         assert (tmp_path / "traces" / f"p02_run{r:03d}.csv").exists()
     assert (tmp_path / "scores.csv").exists()

@@ -12,8 +12,7 @@ from hillvallea.problems.evaluator import Solution
 from hillvallea.problems.suite import InvalidProblemError, make_problem
 from hillvallea.scoring import (ACCURACY_LEVELS, InvalidTraceError,
                                 LevelScores, aggregate, count_distinct_global,
-                                dyn_f1, f1, peak_ratio, score_run,
-                                success_rate)
+                                f1, peak_ratio, score_run, success_rate)
 
 from conftest import bowl_problem, make_solutions, synthetic_problem
 
@@ -133,15 +132,21 @@ def trace_of(problem, rows):
     return trace
 
 
+def dyn_f1_at(trace, problem, eps):
+    """The dynamic F1 that score_run gives at accuracy level eps."""
+    (scores,) = [s for s in score_run(trace, problem) if s.eps == eps]
+    return scores.dyn_f1
+
+
 def test_dyn_f1_single_record_at_half_budget():
     problem = bowl_problem(d=1, budget=1000)
     trace = trace_of(problem, [(500, [0.0])])
-    assert dyn_f1(trace, problem, eps=1e-5) == 0.5
+    assert dyn_f1_at(trace, problem, eps=1e-5) == 0.5
 
 
 def test_dyn_f1_empty_trace_is_zero():
     problem = bowl_problem(d=1, budget=1000)
-    assert dyn_f1(trace_of(problem, []), problem, eps=1e-5) == 0.0
+    assert dyn_f1_at(trace_of(problem, []), problem, eps=1e-5) == 0.0
 
 
 def test_dyn_f1_two_records_hand_computed():
@@ -154,7 +159,8 @@ def test_dyn_f1_two_records_hand_computed():
         optima_positions=np.array([[0.0], [1.0], [2.0]]),
         optima_fitness=np.array([1.0, 1.0, 1.0]), niche_radius=0.1)
     trace = trace_of(problem, [(250, [0.0]), (500, [1.0])])
-    assert dyn_f1(trace, problem, eps=1e-2) == pytest.approx(0.525, abs=1e-12)
+    assert dyn_f1_at(trace, problem, eps=1e-2) == pytest.approx(0.525,
+                                                                abs=1e-12)
 
 
 def test_dyn_f1_penalizes_duplicate_records():
@@ -163,18 +169,18 @@ def test_dyn_f1_penalizes_duplicate_records():
     # dyn = 0.1*1 + 0.1*(2/3) + 0.7*(1/2) = 31/60.
     problem = bowl_problem(d=1, budget=1000)
     trace = trace_of(problem, [(100, [0.0]), (200, [0.0]), (300, [0.0])])
-    assert dyn_f1(trace, problem, eps=1e-5) == pytest.approx(31 / 60,
-                                                             abs=1e-12)
+    assert dyn_f1_at(trace, problem, eps=1e-5) == pytest.approx(31 / 60,
+                                                                abs=1e-12)
 
 
 def test_dyn_f1_rejects_misordered_traces():
     problem = bowl_problem(d=1, budget=1000)
     with pytest.raises(InvalidTraceError):
-        dyn_f1(trace_of(problem, [(500, [0.0]), (500, [0.1])]), problem, 1e-1)
+        score_run(trace_of(problem, [(500, [0.0]), (500, [0.1])]), problem)
     with pytest.raises(InvalidTraceError):
-        dyn_f1(trace_of(problem, [(0, [0.0])]), problem, 1e-1)
+        score_run(trace_of(problem, [(0, [0.0])]), problem)
     with pytest.raises(InvalidTraceError):
-        dyn_f1(trace_of(problem, [(1001, [0.0])]), problem, 1e-1)
+        score_run(trace_of(problem, [(1001, [0.0])]), problem)
 
 
 def test_dyn_f1_stays_in_unit_interval():
@@ -187,8 +193,8 @@ def test_dyn_f1_stays_in_unit_interval():
         xs = rng.uniform(0.0, 1.0, size=t)
         trace = trace_of(problem, [(int(fe), [x])
                                    for fe, x in zip(fevals, xs)])
-        for eps in ACCURACY_LEVELS:
-            assert 0.0 <= dyn_f1(trace, problem, eps) <= 1.0
+        for s in score_run(trace, problem):
+            assert 0.0 <= s.dyn_f1 <= 1.0
 
 
 def reference_count(solutions, problem, eps):
@@ -217,7 +223,8 @@ def reference_count(solutions, problem, eps):
 
 
 def reference_dyn_f1(trace, problem, eps):
-    """dyn_f1 as first written: every prefix recounted from scratch."""
+    """The dynamic F1 as first written: every prefix recounted from
+    scratch."""
     t = len(trace)
     if t == 0:
         return 0.0
@@ -282,10 +289,10 @@ def fittest_first_cascade():
        eps=st.sampled_from(ACCURACY_LEVELS + (0.5,)))
 @example(case=fittest_first_cascade(), eps=0.1)
 @settings(max_examples=300, deadline=None)
-def test_dyn_f1_equals_the_per_prefix_recount(case, eps):
+def test_count_distinct_global_equals_the_reference_count(case, eps):
+    """score_run's dynamic F1 is held against the per-prefix recount by
+    test_score_run_equals_the_per_level_references."""
     problem, trace = case
-    assert dyn_f1(trace, problem, eps) == reference_dyn_f1(trace, problem,
-                                                           eps)
     assert count_distinct_global(trace, problem, eps) == \
         reference_count(trace, problem, eps)
 
@@ -330,8 +337,9 @@ def test_aggregate_single_run_is_identity():
     assert p.problem_id == 4 and p.n_runs == 1
     assert p.pr == (0.6,) * 5 and p.sr == (0.5,) * 5
     assert p.f1 == (0.55,) * 5 and p.dyn_f1 == (0.4,) * 5
-    assert p.s1 == pytest.approx(0.6) and p.s2 == pytest.approx(0.55)
-    assert p.s3 == pytest.approx(0.4)
+    assert p.score("S1") == pytest.approx(0.6)
+    assert p.score("S2") == pytest.approx(0.55)
+    assert p.score("S3") == pytest.approx(0.4)
 
 
 def test_aggregate_means_per_level_across_runs():
@@ -347,16 +355,16 @@ def test_four_full_levels_and_one_half_average_to_point_nine():
     run_scores = [level(eps, pr=pr)
                   for eps, pr in zip(ACCURACY_LEVELS, prs)]
     report = aggregate({7: [run_scores]})
-    assert report.problems[0].s1 == pytest.approx(0.9, abs=1e-15)
+    assert report.problems[0].score("S1") == pytest.approx(0.9, abs=1e-15)
 
 
 def test_grand_means_average_problems():
     high = [level(eps, pr=1.0, f1v=1.0, dyn=1.0) for eps in ACCURACY_LEVELS]
     low = [level(eps, pr=0.5, f1v=0.25, dyn=0.0) for eps in ACCURACY_LEVELS]
     report = aggregate({1: [high], 2: [low]})
-    assert report.grand_s1 == pytest.approx(0.75)
-    assert report.grand_s2 == pytest.approx(0.625)
-    assert report.grand_s3 == pytest.approx(0.5)
+    assert report.grand("S1") == pytest.approx(0.75)
+    assert report.grand("S2") == pytest.approx(0.625)
+    assert report.grand("S3") == pytest.approx(0.5)
 
 
 def test_aggregate_rejects_empty_input():
