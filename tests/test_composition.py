@@ -8,19 +8,28 @@ stacked rotation and one basic-function call per same-function run.
 Both must give the same bits at each sampled row count, on uniform points,
 box corners, points next to a shift point, the shift points
 themselves, and points far outside the box where every weight
-underflows. CI also runs the equivalence test under other OpenBLAS core
-types, since the stacked product must match the per-component one under
-each BLAS kernel.
+underflows. The reference's basic functions use the package's formulas,
+the Weierstrass phase reduction in turns included: that test checks the
+blend, not the basic functions' numerics.
+
+Those numerics are checked on their own: weierstrass against an exact
+rational reduction of its phases, and its sign, with every composition's
+sign next to and at its shift points. CI also runs the equivalence and
+the sign tests under other OpenBLAS core types, since the stacked
+product must match the per-component one under each BLAS kernel, and no
+composition may score above 0 under any of them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hillvallea.problems.composition import BLEND_SCALE
+from hillvallea.problems.composition import BLEND_SCALE, weierstrass
 from hillvallea.problems.suite import make_problem
 
 COMPOSITION_IDS = tuple(range(11, 21))
@@ -46,12 +55,13 @@ def ref_rastrigin(z):
 
 _A = 0.5 ** np.arange(21)
 _B = 3.0 ** np.arange(21)
-_F0 = float((_A * np.cos(np.pi * _B)).sum())
+_F0 = -float(_A.sum())
 
 
 def ref_weierstrass(z):
-    inner = _A * np.cos(2.0 * np.pi * _B * (z[..., None] + 0.5))
-    return inner.sum(axis=(-2, -1)) - z.shape[1] * _F0
+    t = _B * (z[..., None] + 0.5)
+    t = 2.0 * np.pi * (t - np.rint(t))
+    return (_A * np.cos(t)).sum(axis=(-2, -1)) - z.shape[1] * _F0
 
 
 def ref_expanded_griewank_rosenbrock(z):
@@ -184,3 +194,78 @@ def test_composition_problem_fields_are_unchanged(pid):
     np.testing.assert_array_equal(problem.optima_positions, reference.shifts)
     np.testing.assert_array_equal(problem.optima_fitness,
                                   reference(reference.shifts))
+
+
+# --- Weierstrass numerics and the sign of every composition -----------------
+
+
+def exact_weierstrass(z):
+    """weierstrass with each phase 3^k (z + 1/2) reduced to the nearest
+    integer in exact rational arithmetic before the cosine."""
+    out = []
+    for row in z:
+        terms = []
+        for v in row:
+            u = Fraction(float(v)) + Fraction(1, 2)
+            for k in range(21):
+                t = 3 ** k * u
+                t -= round(t)
+                terms.append(math.ldexp(math.cos(2.0 * math.pi * float(t))
+                                        + 1.0, -k))
+        out.append(math.fsum(terms))
+    return np.array(out)
+
+
+def unreduced_weierstrass(z):
+    """The formula before the phases were reduced: the cosine takes
+    2 pi 3^k (z + 1/2) as it is, up to about 1e11 rad."""
+    inner = _A * np.cos(2.0 * np.pi * _B * (z[..., None] + 0.5))
+    f0 = float((_A * np.cos(np.pi * _B)).sum())
+    return inner.sum(axis=(-2, -1)) - z.shape[1] * f0
+
+
+# Rounding z + 1/2 and then 3^k (z + 1/2) moves the k-th phase by at
+# most 2^-52 3^k |z + 1/2| turns, and its term by 2 pi 2^-52 1.5^k
+# |z + 1/2|; the 1e-14 covers the cosines and the sum.
+PHASE_ROUNDING_BOUND = 2.0 * np.pi * 2.0 ** -52 * (1.5 ** 21 - 1.0) / 0.5
+
+
+@pytest.mark.parametrize("radius", (5.0, 25.0))
+def test_weierstrass_is_as_close_to_exact_reduction_as_before(radius):
+    z = np.random.default_rng(int(radius)).uniform(-radius, radius,
+                                                   size=(400, 1))
+    exact = exact_weierstrass(z)
+    got = weierstrass(z)
+    error = np.abs(got - exact)
+    bound = PHASE_ROUNDING_BOUND * np.abs(z[:, 0] + 0.5) + 1e-14
+    assert (error <= bound).all()
+    # The mean, not the maximum: the two formulas share the rounding of
+    # z + 1/2, and over 400 points the reduced one had the larger maximum
+    # in 4 of 40 seeds tried, but the lower mean in all 40 (by 7-32%).
+    assert error.mean() <= np.abs(unreduced_weierstrass(z) - exact).mean()
+    assert (got >= 0.0).all()
+
+
+@pytest.mark.parametrize("d", (1, 2, 5, 10, 20))
+def test_weierstrass_is_nonnegative_and_exactly_zero_at_the_origin(d):
+    rng = np.random.default_rng(d)
+    for scale in (1e-7, 1e-12, 1e-300):
+        z = rng.uniform(-scale, scale, size=(400, d))
+        assert (weierstrass(z) >= 0.0).all(), scale
+    assert (weierstrass(np.zeros((3, d))) == 0.0).all()
+    assert (weierstrass(np.full((1, d), -0.0)) == 0.0).all()
+
+
+@pytest.mark.parametrize("pid", COMPOSITION_IDS)
+def test_composition_never_scores_above_zero_near_its_shift_points(pid):
+    problem = make_problem(pid)
+    rng = np.random.default_rng(pid)
+    shifts = problem.optima_positions
+    assert (problem.fn(shifts) == 0.0).all()
+    lo, hi = problem.bounds.lower, problem.bounds.upper
+    for scale in (1e-3, 1e-7, 1e-12):
+        picks = rng.integers(0, len(shifts), size=400)
+        x = shifts[picks] + rng.uniform(-scale, scale,
+                                        size=(400, problem.d))
+        x = np.clip(x, lo, hi)
+        assert (problem.fn(x) <= 0.0).all(), scale

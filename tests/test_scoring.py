@@ -118,6 +118,20 @@ def test_count_is_monotone_in_accuracy_level():
     assert gs[0] > gs[-1]  # the off-peak points only pass loose levels
 
 
+@pytest.mark.parametrize("eps", ACCURACY_LEVELS)
+def test_fitness_gap_equal_to_the_level_counts(eps):
+    # |-eps - 0.0| is eps exactly, and a gap of eps passes level eps.
+    problem = synthetic_problem(
+        flat_one, lower=[-1.0], upper=[1.0],
+        optima_positions=np.zeros((1, 1)), optima_fitness=np.zeros(1),
+        niche_radius=0.1)
+    sols = [Solution(np.array([0.01]), -eps, 1)]
+    assert abs(sols[0].f - problem.optima_fitness[0]) == eps
+    assert count_distinct_global(sols, problem, eps) == 1
+    assert ([ls.g for ls in score_run(sols, problem)]
+            == [int(level >= eps) for level in ACCURACY_LEVELS])
+
+
 # --- dynamic F1 -------------------------------------------------------------
 
 
