@@ -28,8 +28,10 @@ BLEND_SCALE = 2000.0
 # Basic functions see at most this many rows per call, rows of all the
 # components of a run counted together. This bounds weierstrass's two
 # (rows, d, 21) temporaries, its phases and their nearest integers, to
-# 2 x 2048 x d x 21 doubles (13.8 MB at d = 20) on large sampling batches.
-_BLOCK_ROWS = 2048
+# 2 x 512 x d x 21 doubles (3.4 MB at d = 20). Blocks of 2048 rows
+# raised the peak memory of p16 runs by about 2 MB, and the seed-0 run
+# times of p16 and p18 did not differ between 512 and 2048.
+_BLOCK_ROWS = 512
 
 
 def sphere(z: np.ndarray) -> np.ndarray:
