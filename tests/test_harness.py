@@ -20,8 +20,10 @@ from hillvallea.harness import (ConfigError, ExperimentConfig, RunFailure,
 from hillvallea.orchestrator import run
 from hillvallea.problems.evaluator import Solution
 from hillvallea.problems.suite import make_problem
-from hillvallea.scoring import (ACCURACY_LEVELS, LevelScores, ScoreReport,
-                                aggregate, score_run)
+from hillvallea.scoring import (ACCURACY_LEVELS, ScoreReport, aggregate,
+                                score_run)
+
+from conftest import level
 
 
 # --- configuration ----------------------------------------------------------
@@ -213,10 +215,6 @@ def test_trace_files_rescore_to_the_table(tmp_path):
 # --- score tables -----------------------------------------------------------
 
 
-def level(eps, pr=1.0, sr=1.0, f1v=1.0, dyn=1.0):
-    return LevelScores(eps=eps, g=1, pr=pr, sr=sr, f1=f1v, dyn_f1=dyn)
-
-
 def constant_report(pids, pr, f1v, dyn):
     per_problem = {
         pid: [[level(eps, pr=pr, f1v=f1v, dyn=dyn)
@@ -349,6 +347,7 @@ def test_cli_module_runs_as_a_process(tmp_path):
     ok = cli("--runs", "1", "--budget-override", "1=2000")
     assert ok.returncode == 0, ok.stderr
     assert (tmp_path / "scores.csv").exists()
+    assert (tmp_path / "traces" / "p01_run000.csv").stat().st_size > 0
     bad = cli("--runs", "0")
     assert bad.returncode == 1
     assert "configuration error" in bad.stderr

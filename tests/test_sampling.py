@@ -15,6 +15,8 @@ from hillvallea.bounds import Bounds
 from hillvallea.sampling import (greedy_scattered_subset, rejection_sample,
                                  sample_initial_population, sample_uniform)
 
+from conftest import min_pairwise_distance
+
 UNIT_SQUARE = Bounds(np.zeros(2), np.ones(2))
 UNIT_LINE = Bounds(np.zeros(1), np.ones(1))
 # the history points and labels a run's first restart samples against
@@ -273,15 +275,6 @@ def test_greedy_subset_deterministic_members():
     np.testing.assert_array_equal(a, b)
     cand_set = set(map(tuple, candidates))
     assert all(tuple(row) in cand_set for row in a)
-
-
-def min_pairwise_distance(points: np.ndarray) -> float:
-    if len(points) < 2:
-        return np.inf
-    diff = points[:, None, :] - points[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
-    iu = np.triu_indices(len(points), 1)
-    return float(np.sqrt(d2[iu].min()))
 
 
 def best_subset_min_distance(candidates: np.ndarray, k: int) -> float:

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from hillvallea.problems.evaluator import Solution
 from hillvallea.problems.suite import InvalidProblemError, make_problem
 from hillvallea.scoring import (ACCURACY_LEVELS, InvalidTraceError,
-                                LevelScores, aggregate, count_distinct_global,
-                                f1, peak_ratio, score_run, success_rate)
+                                aggregate, count_distinct_global, f1,
+                                peak_ratio, score_run, success_rate)
 
-from conftest import bowl_problem, make_solutions, synthetic_problem
+from conftest import bowl_problem, level, make_solutions, synthetic_problem
 
 
 def test_accuracy_levels():
@@ -337,10 +337,6 @@ def test_score_run_levels_are_internally_consistent():
         assert s.f1 == f1(s.pr, s.sr)
         assert 0.0 <= s.dyn_f1 <= 1.0
     assert scores[0].g == 3 and scores[-1].g == 2
-
-
-def level(eps, pr=1.0, sr=1.0, f1v=1.0, dyn=1.0, g=1):
-    return LevelScores(eps=eps, g=g, pr=pr, sr=sr, f1=f1v, dyn_f1=dyn)
 
 
 def test_aggregate_single_run_is_identity():
