@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,22 @@ def synthetic_problem(fn, lower, upper, budget=BIG, optima_positions=None,
     return Problem(problem_id, name, bounds.d, bounds,
                    len(optima_positions), budget, optima_positions,
                    optima_fitness, niche_radius, fn)
+
+
+def problem_fields_sha256(problem: Problem) -> str:
+    """SHA-256 of every field of a Problem except the objective itself:
+    the scalars, then each array's dtype, shape, flags and bytes."""
+    h = hashlib.sha256()
+    h.update(repr((problem.id, problem.name, problem.d,
+                   problem.n_global_optima, problem.budget,
+                   problem.niche_radius)).encode())
+    for arr in (problem.bounds.lower, problem.bounds.upper,
+                problem.bounds.range, problem.optima_positions,
+                problem.optima_fitness):
+        h.update(repr((arr.dtype.str, arr.shape, arr.flags.writeable,
+                       arr.flags.c_contiguous)).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 def quadratic_bowl(center) -> callable:

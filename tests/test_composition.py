@@ -22,7 +22,6 @@ composition may score above 0 under any of them.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 
@@ -31,6 +30,8 @@ import pytest
 
 from hillvallea.problems.composition import BLEND_SCALE, weierstrass
 from hillvallea.problems.suite import make_problem
+
+from conftest import problem_fields_sha256
 
 COMPOSITION_IDS = tuple(range(11, 21))
 ROW_COUNTS = (1, 2, 27, 1000, 3000)
@@ -156,8 +157,8 @@ def test_stacked_composition_matches_per_component_loop(pid):
             assert got.tobytes() == want.tobytes(), f"{kind}, {m} rows"
 
 
-# SHA-256 of every field of make_problem(pid) except the objective
-# itself, taken before the components were stacked.
+# problem_fields_sha256(make_problem(pid)), taken before the components
+# were stacked.
 PROBLEM_FIELDS_SHA256 = {
     11: "ea4f74e5e9037e22404c86aa0792485e56927c0afb3f28395039055f5ea9c831",
     12: "85d73ec0aba3d67df1cf22db67829baeaea5f1d81e95ad5b65fdcb6a76f54f5c",
@@ -170,20 +171,6 @@ PROBLEM_FIELDS_SHA256 = {
     19: "cb3aba40bea2c75c3bb572766a6b250e9a163e00edc1737ab2389a9789081888",
     20: "bc6091ee96a7168cb6c1899b94ba731d94822cd5c1f1135c894b6d8264742231",
 }
-
-
-def problem_fields_sha256(problem):
-    h = hashlib.sha256()
-    h.update(repr((problem.id, problem.name, problem.d,
-                   problem.n_global_optima, problem.budget,
-                   problem.niche_radius)).encode())
-    for arr in (problem.bounds.lower, problem.bounds.upper,
-                problem.bounds.range, problem.optima_positions,
-                problem.optima_fitness):
-        h.update(repr((arr.dtype.str, arr.shape, arr.flags.writeable,
-                       arr.flags.c_contiguous)).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
 
 
 @pytest.mark.parametrize("pid", COMPOSITION_IDS)

@@ -20,7 +20,7 @@ from hillvallea.problems.suite import (DEFAULT_DATA_DIR, InvalidProblemError,
                                        MissingDataError, PROBLEM_IDS,
                                        make_problem)
 
-from conftest import BIG, EQUAL_MAXIMA
+from conftest import BIG, EQUAL_MAXIMA, problem_fields_sha256
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -94,6 +94,28 @@ def test_optima_are_local_maxima(pid):
             if np.array_equal(nudge, pos):
                 continue
             assert float(p.fn(nudge[None, :])[0]) <= fit + 1e-12
+
+
+# problem_fields_sha256(make_problem(pid)) of the closed-form problems.
+# A one-ulp move of any listed optimum changes its problem's hash.
+CLOSED_FORM_FIELDS_SHA256 = {
+    1: "48734151059e8819edd0eb592c69580cd43100db6112b7b533b06640b1d78f99",
+    2: "3dc227687a96f3ec24037e2f37d8ba0134cbb4f59b357ab373bbf5ab44ba3890",
+    3: "42d44f1ea3c6b9d496a9a1180783ad4836e05a8e6b07efc110e73c8e021389c0",
+    4: "d00e74bc36279d05be7a89b1dac98f2c04dd999dede0ef70b35fd32fbec3b5f8",
+    5: "74d78d1e49a7d3efb7d609b92add589b2ec96c40700b01c3866181a4df8bdd24",
+    6: "1adf30b50619ebcbf2e9b2f0a1a45a01f6d2650d7ac0e8460df7e2b27f237cdb",
+    7: "153cb2413af080a933c7d245c6145da613f6a638785fd19f842de156c4de0f25",
+    8: "a8cd81e6834c73976ca6cf8014c3690b4486a24633a1550d918d161de16c3e7e",
+    9: "943a9bf9e28dd55b04ddfb61f46093e7a4eca9b3ea99d6c16ef9ac697fd6c323",
+    10: "f925d90cb5d23798324263bce7f80c9f9a6867648c9521c4004badbdc2200e59",
+}
+
+
+@pytest.mark.parametrize("pid", range(1, 11))
+def test_closed_form_problem_fields_are_unchanged(pid):
+    assert (problem_fields_sha256(make_problem(pid))
+            == CLOSED_FORM_FIELDS_SHA256[pid])
 
 
 @pytest.mark.parametrize("pid", range(11, 21))
