@@ -16,7 +16,7 @@ come out byte for byte as committed only under the OpenBLAS kernel
 that wrote them (SkylakeX); under Haswell, Zen or Sandybridge
 (OPENBLAS_CORETYPE) those 8 files differ in their last digits. The
 optima of problems 11-20 are these shift points; those of problems
-1-10 are derived in code.
+1-10 are listed in code.
 
 Usage: python scripts/generate_composition_data.py [out_dir]
 """

@@ -1,6 +1,6 @@
 """The 20-problem multimodal benchmark suite.
 
-Problems 1-10 are closed-form functions with optima derived in code;
+Problems 1-10 are closed-form functions with optima listed in code;
 problems 11-20 are composition functions whose shift vectors and
 rotation matrices are read from data files (their optima are the shift
 points, each with fitness exactly 0). All problems are maximization.
@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ..bounds import Bounds
-from .functions import closed_form
+from .functions import CLOSED_FORM
 from .composition import (FAMILIES, composition_data_filename,
                           load_composition)
 
@@ -91,7 +91,7 @@ def make_problem(problem_id: int,
 
     if family_name is None:
         bounds = Bounds(np.array(box[0]), np.array(box[1]))
-        fn, positions = closed_form(problem_id)
+        fn, positions = CLOSED_FORM[problem_id]
     else:
         bounds = Bounds(np.full(d, -5.0), np.full(d, 5.0))
         family = FAMILIES[family_name]
@@ -109,7 +109,7 @@ def make_problem(problem_id: int,
 
     if len(positions) != n_global:
         raise InvalidProblemError(
-            f"problem {problem_id}: {len(positions)} optima derived, "
+            f"problem {problem_id}: {len(positions)} optima listed, "
             f"expected {n_global}")
     return Problem(problem_id, name, d, bounds, n_global, budget,
                    positions, fitness, radius, fn)
