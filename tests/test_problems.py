@@ -179,6 +179,20 @@ def test_modified_rastrigin_peak_value():
     np.testing.assert_allclose(p.optima_fitness, -2.0, atol=1e-9)
 
 
+# The CEC2013 niching suite's published global-optimum fitness of
+# problems 1-10. p03's is rounded: its true peak is 1.7e-7 lower.
+PUBLISHED_OPTIMUM = {1: 200.0, 2: 1.0, 3: 1.0, 4: 200.0, 5: 1.031628453489877,
+                     6: 186.7309088310239, 7: 1.0, 8: 2709.093505572820,
+                     9: 1.0, 10: -2.0}
+
+
+@pytest.mark.parametrize("pid", range(1, 11))
+def test_every_closed_form_optimum_scores_the_published_value(pid):
+    # 1e-5, the finest accuracy level the scores use
+    fitness = make_problem(pid).optima_fitness
+    assert np.abs(fitness - PUBLISHED_OPTIMUM[pid]).max() <= 1e-5
+
+
 def test_missing_composition_data_names_the_file(tmp_path):
     with pytest.raises(MissingDataError, match="cf1_d02.txt"):
         make_problem(11, data_dir=tmp_path)
@@ -232,7 +246,8 @@ def test_every_package_data_glob_matches_a_file():
 
 
 def test_package_and_all_problems_do_not_import_scipy_optimize():
-    # Every optimum is derived with numpy alone.
+    # The optima of problems 1-10 are listed in code and checked by the
+    # tests below, so no root finder runs when a problem is built.
     code = ("import sys\n"
             "import hillvallea\n"
             "for pid in range(1, 21):\n"
@@ -245,7 +260,7 @@ def test_package_and_all_problems_do_not_import_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
-# What vanishes at each numerically polished optimum, from the positions.
+# What vanishes at each listed irrational optimum, from the positions.
 def _p03_log_slope(positions):
     t = positions[:, 0]
     u = 5.0 * np.pi * (t ** 0.75 - 0.05)
