@@ -1,7 +1,7 @@
 """Command-line benchmark runner.
 
-Exit codes: 0 success, 1 configuration error, 2 missing data files,
-3 at least one run failed.
+Exit codes: 0 success, 1 configuration error, 2 missing or malformed
+data files, 3 at least one run failed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .harness import ConfigError, ExperimentConfig, run_experiment
-from .problems.suite import MissingDataError
+from .problems.suite import InvalidProblemError, MissingDataError
 from .scoring import SCENARIOS
 
 
@@ -95,6 +95,9 @@ def main(argv: list[str] | None = None) -> int:
         report, failures = run_experiment(cfg)
     except MissingDataError as exc:
         print(f"missing data: {exc}", file=sys.stderr)
+        return 2
+    except InvalidProblemError as exc:  # ids are checked before the data
+        print(f"bad data: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

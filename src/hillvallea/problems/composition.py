@@ -213,22 +213,19 @@ def composition_data_filename(family_name: str, d: int) -> str:
 def load_composition(family: CompositionFamily, d: int,
                      path: Path) -> CompositionFunction:
     """Read one instance's data file: n rows of d shift coordinates,
-    then n stacked d-by-d rotation matrices, whitespace-delimited."""
+    then n stacked d-by-d rotation matrices, whitespace-delimited.
+    Raises ValueError for a file that does not parse into those values;
+    the caller names the file."""
     raw = np.loadtxt(path, dtype=float)
     n = family.n_components
     expected = n + n * d
     raw = np.atleast_2d(raw)
     if raw.shape != (expected, d):
         raise ValueError(
-            f"{path}: expected {expected} rows of {d} values "
-            f"(got shape {raw.shape})"
-        )
+            f"expected {expected} rows of {d} values (got shape {raw.shape})")
     if not np.isfinite(raw).all():
-        raise ValueError(f"{path}: non-finite value in shifts or rotations")
+        raise ValueError("non-finite value in shifts or rotations")
     shifts = raw[:n]
     rotations = raw[n:].reshape(n, d, d)
-    try:
-        return CompositionFunction(family, shifts, rotations)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return CompositionFunction(family, shifts, rotations)
 

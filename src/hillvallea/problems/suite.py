@@ -99,7 +99,10 @@ def make_problem(problem_id: int,
         path = directory / composition_data_filename(family_name, d)
         if not path.is_file():
             raise MissingDataError(f"composition data file not found: {path}")
-        fn = load_composition(family, d, path)
+        try:
+            fn = load_composition(family, d, path)
+        except ValueError as exc:
+            raise InvalidProblemError(f"{path}: {exc}") from exc
         positions = fn.shifts.copy()
     # Stored fitness is the objective at the stored position, so
     # evaluating a stored optimum reproduces its stored fitness exactly.

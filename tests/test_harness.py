@@ -19,7 +19,7 @@ from hillvallea.harness import (ConfigError, ExperimentConfig, RunFailure,
                                 emit_tables, run_experiment, write_trace_csv)
 from hillvallea.orchestrator import run
 from hillvallea.problems.evaluator import Solution
-from hillvallea.problems.suite import make_problem
+from hillvallea.problems.suite import DEFAULT_DATA_DIR, make_problem
 from hillvallea.scoring import (ACCURACY_LEVELS, ScoreReport, aggregate,
                                 score_run)
 
@@ -360,6 +360,20 @@ def test_cli_missing_data_exit_two(tmp_path, capsys):
                  "--data-dir", str(empty), "--out", str(tmp_path)])
     assert code == 2
     assert "missing data" in capsys.readouterr().err
+
+
+def test_cli_bad_data_exit_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    rows = (DEFAULT_DATA_DIR / "cf1_d02.txt").read_text().splitlines()
+    rows[0] = "abc"
+    (data / "cf1_d02.txt").write_text("\n".join(rows) + "\n")
+    code = main(["--problems", "11", "--runs", "1",
+                 "--data-dir", str(data), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("bad data: ") and "cf1_d02.txt" in err[0]
 
 
 def test_cli_run_failures_exit_three(tmp_path, capsys, monkeypatch):

@@ -198,21 +198,24 @@ def test_missing_composition_data_names_the_file(tmp_path):
         make_problem(11, data_dir=tmp_path)
 
 
-@pytest.mark.parametrize("edit", ["nan", "inf", "truncated", "zero-rotation"])
+@pytest.mark.parametrize("edit", ["nan", "inf", "abc", "truncated",
+                                  "three-values", "zero-rotation"])
 def test_bad_composition_data_names_the_file(tmp_path, edit):
-    """A non-finite shift or rotation entry, a missing row, or a rotation
-    block of zeros fails when the file is loaded, not later inside a
-    run."""
+    """A non-finite or non-numeric entry, a missing row, a row of three
+    values, or a rotation block of zeros fails when the file is loaded,
+    not later inside a run."""
     rows = (DEFAULT_DATA_DIR / "cf1_d02.txt").read_text().splitlines()
     if edit == "truncated":
         rows = rows[:-1]
+    elif edit == "three-values":  # the first shift
+        rows[0] += " 0"
     elif edit == "zero-rotation":  # the first rotation block
         rows[6] = rows[7] = "0 0"
-    else:  # the first shift for nan, the first rotation row for inf
-        row = 0 if edit == "nan" else 6
+    else:  # the first shift for nan and abc, the first rotation row for inf
+        row = 6 if edit == "inf" else 0
         rows[row] = edit + " " + rows[row].split(None, 1)[1]
     (tmp_path / "cf1_d02.txt").write_text("\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match="cf1_d02.txt"):
+    with pytest.raises(InvalidProblemError, match="cf1_d02.txt"):
         make_problem(11, data_dir=tmp_path)
 
 
