@@ -4,6 +4,7 @@ and full single-problem runs."""
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ def test_equal_maxima_run_archives_exactly_five(seed):
     elites = run(problem, seed=seed)
     assert len(elites) == 5
     assert count_distinct_global(elites, problem, eps=1e-5) == 5
+
+
+def test_run_reads_only_fn_bounds_and_budget():
+    """README's contract: run on a plain namespace of a problem's fn,
+    bounds and budget returns the Problem's elites bit for bit."""
+    problem = dataclasses.replace(make_problem(4), budget=5000)
+    task = SimpleNamespace(fn=problem.fn, bounds=problem.bounds,
+                           budget=5000)
+
+    def snapshot(elites):
+        return [(e.x.tobytes(), e.f, e.eval_index) for e in elites]
+
+    expected = snapshot(run(problem, seed=0))
+    assert expected
+    assert snapshot(run(task, seed=0)) == expected
 
 
 def test_run_is_bit_reproducible():
