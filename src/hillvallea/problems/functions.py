@@ -131,8 +131,6 @@ def modified_rastrigin(x: np.ndarray) -> np.ndarray:
     return -(10.0 + 9.0 * np.cos(_MOD_RASTRIGIN_FREQ * x)).sum(axis=1)
 
 
-
-
 # Problem id -> (objective, global-optima positions in sorted rows).
 # The listed irrational positions are roots of the objective's gradient
 # (of Himmelblau's defining equations for p04) to within their rounding.

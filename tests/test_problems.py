@@ -250,7 +250,7 @@ def test_every_package_data_glob_matches_a_file():
 
 def test_package_and_all_problems_do_not_import_scipy_optimize():
     # The optima of problems 1-10 are listed in code and checked by the
-    # tests below, so no root finder runs when a problem is built.
+    # tests in this file, so no root finder runs when a problem is built.
     code = ("import sys\n"
             "import hillvallea\n"
             "for pid in range(1, 21):\n"
