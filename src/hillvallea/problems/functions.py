@@ -132,8 +132,6 @@ def modified_rastrigin(x: np.ndarray) -> np.ndarray:
 
 
 # Problem id -> (objective, global-optima positions in sorted rows).
-# The listed irrational positions are roots of the objective's gradient
-# (of Himmelblau's defining equations for p04) to within their rounding.
 CLOSED_FORM: dict[int, tuple[Callable[[np.ndarray], np.ndarray],
                              np.ndarray]] = {
     1: (five_uneven_peak_trap, np.array([[0.0], [30.0]])),
