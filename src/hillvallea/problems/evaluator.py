@@ -44,6 +44,8 @@ class Evaluator:
         # numpy compares with (1, d) bounds twice as fast as with (d,)
         self._lower = bounds.lower[None, :]
         self._upper = bounds.upper[None, :]
+        # (lower, upper) of each axis, for batches checked by column
+        self._axes = list(zip(bounds.lower.tolist(), bounds.upper.tolist()))
         self._d = bounds.d
 
     @property
@@ -82,16 +84,29 @@ class Evaluator:
         if remaining < n:
             raise BudgetExhaustedError(
                 f"{n} evaluations requested, {remaining} remaining")
-        # np.count_nonzero is a C function; ndarray.any goes through a
-        # Python wrapper that costs more than the comparison itself.
-        if (np.count_nonzero(xs < self._lower)
-                or np.count_nonzero(xs > self._upper)):
+        if self._outside(xs):
             outside = (xs < self._lower) | (xs > self._upper)
             row = xs[np.count_nonzero(outside, axis=1) > 0][0]
             raise OutOfBoundsError(f"point {row!r} outside the bounds")
         fs = _checked(self._fn(xs), n)
         self.evals_used += n
         return fs
+
+
+    def _outside(self, xs: np.ndarray) -> bool:
+        """Whether a row of xs leaves the box. A single point is compared
+        whole; a batch one column at a time, which numpy does several
+        times faster than rows of a few values."""
+        # np.count_nonzero is a C function; ndarray.any goes through a
+        # Python wrapper that costs more than the comparison itself.
+        if len(xs) == 1:
+            return bool(np.count_nonzero(xs < self._lower)
+                        or np.count_nonzero(xs > self._upper))
+        for j, (lo, hi) in enumerate(self._axes):
+            col = xs[:, j]
+            if np.count_nonzero(col < lo) or np.count_nonzero(col > hi):
+                return True
+        return False
 
 
 def _checked(fs: np.ndarray, n: int) -> np.ndarray:

@@ -356,6 +356,26 @@ def test_batch_rejects_out_of_bounds_without_consuming():
     assert ev.evals_used == 0
 
 
+def test_batch_names_its_first_out_of_bounds_row():
+    """A value past the bound in a middle row and the last column of a
+    large batch is found, reported with its whole row, and nothing is
+    consumed; a row before it with a value exactly on a bound is in."""
+    box = Bounds(np.full(3, -1.0), np.full(3, 1.0))
+    ev = Evaluator(lambda xs: np.zeros(len(xs)), box, BIG)
+    xs = np.random.default_rng(4).uniform(-1.0, 1.0, (2000, 3))
+    xs[700, 1] = 1.0
+    xs[1234] = [0.25, -0.5, 1.0 + 1e-12]
+    for bad_later in (None, (1500, 0)):
+        if bad_later is not None:
+            xs[bad_later] = -2.0
+        with pytest.raises(OutOfBoundsError) as err:
+            ev.evaluate_batch(xs)
+        assert repr(xs[1234]) in str(err.value)
+        assert ev.evals_used == 0
+    xs[1234, 2] = xs[1500, 0] = -1.0
+    assert len(ev.evaluate_batch(xs)) == 2000
+
+
 def test_empty_batch_is_free():
     ev = Evaluator(*EQUAL_MAXIMA, BIG)
     assert len(ev.evaluate_batch(np.empty((0, 1)))) == 0
