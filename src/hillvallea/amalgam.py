@@ -1,5 +1,6 @@
 """Per-cluster core search: univariate-Gaussian estimation of
-distribution with adaptive variance scaling.
+distribution with adaptive variance scaling, stepped for many clusters
+at once.
 
 Each generation samples a diagonal Gaussian, clamps to bounds, shifts a
 slice of the samples along the recent mean displacement (anticipated
@@ -10,11 +11,19 @@ drops below one while improvements keep arriving. While the model stays
 wider than the initialization floor, stagnation leaves its scale alone
 (a wide model may still be straddling several peaks); once narrower,
 every stagnant generation shrinks it, driving collapse and termination.
+
+The searches of one restart share a population size, so their states
+stack as arrays with one row per search (`CoreSearchStack`). A step
+moves every active search of the stack one generation with one call
+per phase and one evaluation batch; a search that stops leaves the
+stack and keeps its best for the archive. A search's rows of the
+normal draws and of the batch are the ones it would draw and evaluate
+alone, so a stack of several searches takes the same steps as each of
+its searches stepped by itself on its own rows of the draws.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -55,20 +64,34 @@ def nis_limit(d: int) -> int:
 
 
 @dataclass(eq=False)
-class CoreSearchState:
-    mean: np.ndarray
-    stddev: np.ndarray
-    c_mult: float
+class CoreSearchStack:
+    """The active searches of one population size, one row each in the
+    order they joined, and the bests of the searches that stopped in
+    the step that made this stack, in that order.
+
+    A fresh search's previous mean is its mean, so its first
+    anticipated shift is zero. `generation` counts the generations
+    stepped, summed over searches."""
+    mean: np.ndarray        # (C, d)
+    stddev: np.ndarray      # (C, d)
+    prev_mean: np.ndarray   # (C, d)
+    c_mult: np.ndarray      # (C,)
+    nis: np.ndarray         # (C,) stagnant generations
+    best_x: np.ndarray      # (C, d)
+    best_f: np.ndarray      # (C,)
+    best_index: np.ndarray  # (C,) evaluation index of each best
     pop_size: int
-    nis: int
-    best: Solution
-    prev_mean: np.ndarray
-    generation: int
     bounds: Bounds
     # INIT_STDDEV_FLOOR, STEP_STDDEV_FLOOR and PARAM_TOL times the
     # bounds' range, worked out once per search
     floors: tuple[np.ndarray, np.ndarray, np.ndarray]
-    terminated: bool = False
+    generation: int = 0
+    stopped: tuple[Solution, ...] = ()
+
+    @property
+    def size(self) -> int:
+        """Active searches."""
+        return len(self.c_mult)
 
 
 def guideline_pop_size(d: int) -> int:
@@ -76,11 +99,11 @@ def guideline_pop_size(d: int) -> int:
 
 
 def init_core_search(members: np.ndarray, best: Solution, pop_size: int,
-                     bounds: Bounds) -> CoreSearchState:
-    """Start a search at a cluster, given as its members' rows and its
-    fittest member as the tracked best: the rows' mean, their sample
-    standard deviation floored at a fraction of the domain range, far
-    above PARAM_TOL. A fresh search is never terminated."""
+                     bounds: Bounds) -> CoreSearchStack:
+    """A stack of one search started at a cluster, given as its
+    members' rows and its fittest member as the tracked best: the rows'
+    mean, their sample standard deviation floored at a fraction of the
+    domain range, far above PARAM_TOL."""
     mean = members.mean(axis=0)
     if len(members) > 1:
         stddev = members.std(axis=0, ddof=1)
@@ -89,110 +112,154 @@ def init_core_search(members: np.ndarray, best: Solution, pop_size: int,
     floors = (INIT_STDDEV_FLOOR * bounds.range,
               STEP_STDDEV_FLOOR * bounds.range, PARAM_TOL * bounds.range)
     stddev = np.maximum(stddev, floors[0])
-    return CoreSearchState(
-        mean=mean, stddev=stddev, c_mult=1.0, pop_size=pop_size, nis=0,
-        best=best, prev_mean=mean.copy(), generation=0,
-        bounds=bounds, floors=floors,
-    )
+    return CoreSearchStack(
+        mean=mean[None, :],
+        stddev=stddev[None, :], prev_mean=mean[None, :].copy(),
+        c_mult=np.ones(1), nis=np.zeros(1, dtype=np.intp),
+        best_x=np.array(best.x, dtype=float)[None, :],
+        best_f=np.array([best.f]),
+        best_index=np.array([best.eval_index], dtype=np.intp),
+        pop_size=pop_size, bounds=bounds, floors=floors)
 
 
-def core_search_step(state: CoreSearchState, ev: Evaluator,
-                     rng: np.random.Generator) -> CoreSearchState:
-    """One generation; returns the next state and leaves `state` as it
-    was. The search ends (`terminated`) on a budget short of one
-    population, which samples nothing, on more than nis_limit(d)
-    stagnant generations, on a collapsed model or on a flat selection."""
-    pop = state.pop_size
-    bounds = state.bounds
-    best_f = state.best.f
-    if ev.remaining < pop:
-        return dataclasses.replace(state, terminated=True)
+def join_core_searches(stacks: list[CoreSearchStack]) -> CoreSearchStack:
+    """One stack holding the active searches of all of `stacks`, which
+    share a population size and bounds, in their order."""
+    first = stacks[0]
 
-    # The tracked best joins the candidate set as row `pop` (elitism of
-    # one), so the model stays anchored to the basin it has already
-    # reached even when a generation of fresh samples scatters. Stable
-    # sort puts fresh samples ahead of the elite on fitness ties.
-    cand_x = np.empty((pop + 1, bounds.d))
-    xs = cand_x[:pop]
-    rng.standard_normal(out=xs)
-    scale = state.c_mult * state.stddev
-    xs *= scale
-    xs += state.mean
+    def rows(name):
+        return np.concatenate([getattr(s, name) for s in stacks])
+
+    return CoreSearchStack(
+        mean=rows("mean"), stddev=rows("stddev"), prev_mean=rows("prev_mean"),
+        c_mult=rows("c_mult"), nis=rows("nis"), best_x=rows("best_x"),
+        best_f=rows("best_f"), best_index=rows("best_index"),
+        pop_size=first.pop_size, bounds=first.bounds, floors=first.floors,
+        generation=sum(s.generation for s in stacks))
+
+
+def core_search_step(stack: CoreSearchStack, ev: Evaluator,
+                     rng: np.random.Generator) -> CoreSearchStack:
+    """One generation of the stack's active searches; returns the next
+    stack and leaves `stack` as it was.
+
+    The searches are admitted in stack order while a whole population
+    of each still fits in the budget; the rest stop without sampling.
+    The admitted ones draw `standard_normal((k, pop, d))`, one (pop, d)
+    block each, and are evaluated in one batch in that order. A search
+    stops on more than nis_limit(d) stagnant generations, on a
+    collapsed model or on a flat selection."""
+    pop = stack.pop_size
+    bounds = stack.bounds
+    d = bounds.d
+    k = min(stack.size, ev.remaining // pop)
+    mean = stack.mean[:k]
+    stddev = stack.stddev[:k]
+    c_mult = stack.c_mult[:k]
+    best_x = stack.best_x[:k]
+    best_f = stack.best_f[:k]
+    rows = np.arange(k)
+
+    xs = rng.standard_normal((k, pop, d))
+    scale = c_mult[:, None] * stddev
+    xs *= scale[:, None, :]
+    xs += mean[:, None, :]
     n_ams = int(AMS_FRACTION * pop)
-    if state.generation > 0 and n_ams > 0:
-        xs[:n_ams] += DELTA_AMS * state.c_mult * (state.mean - state.prev_mean)
-    np.maximum(xs, bounds.lower, out=xs)
-    np.minimum(xs, bounds.upper, out=xs)
-    cand_x[pop] = state.best.x
+    if n_ams > 0:
+        shift = (DELTA_AMS * c_mult)[:, None] * (mean - stack.prev_mean[:k])
+        xs[:, :n_ams] += shift[:, None, :]
+    flat = xs.reshape(k * pop, d)
+    # Whole columns are clamped one at a time, which numpy does several
+    # times faster than short rows.
+    for j in range(d):
+        col = flat[:, j]
+        np.maximum(col, bounds.lower[j], out=col)
+        np.minimum(col, bounds.upper[j], out=col)
 
     base_index = ev.evals_used
-    fs = ev.evaluate_batch(xs)
-    cand_f = np.empty(pop + 1)
-    cand_f[:pop] = fs
-    cand_f[pop] = best_f
+    fs = ev.evaluate_batch(flat)
 
+    # The tracked best joins each search's candidates as column `pop`
+    # (elitism of one), so the model stays anchored to the basin it has
+    # already reached even when a generation of fresh samples scatters.
+    # Stable sort puts fresh samples ahead of the elite on fitness ties.
+    cand_f = np.empty((k, pop + 1))
+    cand_f[:, :pop] = fs.reshape(k, pop)
+    cand_f[:, pop] = best_f
     n_sel = max(1, math.ceil(SELECTION_FRACTION * pop))
-    sel = (-cand_f).argsort(kind="stable")[:n_sel]
-    sel_f = cand_f[sel]
-    spread = float(sel_f[0] - sel_f[-1])
-    selected = cand_x[sel]
+    sel = (-cand_f).argsort(axis=1, kind="stable")[:, :n_sel]
+    sel += (rows * (pop + 1))[:, None]
+    sel_f = cand_f.take(sel)
+    cand_x = np.concatenate((xs, best_x[:, None, :]), axis=1)
+    selected = cand_x.reshape(-1, d).take(sel.ravel(), axis=0)
+    selected = selected.reshape(k, n_sel, d)
+    spread = sel_f[:, 0] - sel_f[:, -1]
 
-    gen_best = int(fs.argmax())
-    gen_best_f = float(fs[gen_best])
-    if gen_best_f > best_f:
-        best = Solution(xs[gen_best].copy(), gen_best_f,
-                        base_index + gen_best + 1)
-    else:
-        best = state.best
+    gen_best = cand_f[:, :pop].argmax(axis=1)
+    gen_best_f = cand_f[rows, gen_best]
+    improved = gen_best_f > best_f
+    new_best_x = np.where(improved[:, None], xs[rows, gen_best], best_x)
+    new_best_f = np.where(improved, gen_best_f, best_f)
+    new_best_index = np.where(improved, base_index + rows * pop + gen_best + 1,
+                              stack.best_index[:k])
 
-    gain_floor = MATERIAL_GAIN_REL * max(1.0, abs(best_f))
-    if gen_best_f > best_f + gain_floor:
-        # the selection is sorted fittest first, so the rows that beat
-        # the tracked best lead it
-        improved = selected[:np.count_nonzero(sel_f > best_f)]
-        avg_improvement = np.add.reduce(improved, axis=0) / len(improved)
-        # Improvement displacement measured in unmultiplied standard
-        # deviations: an inflated model still registers far-flung
-        # improvements as "beyond one deviation" and keeps growing.
-        sdr = float(np.maximum.reduce(
-            np.abs((avg_improvement - state.mean) / state.stddev)))
-        c_mult = max(state.c_mult, 1.0)
-        if sdr > SDR_THRESHOLD:
-            c_mult *= ETA_INC
-        nis = 0
-    else:
-        nis = state.nis + 1
-        c_mult = state.c_mult
-        # A model still wider than the initialization floor may be
-        # straddling several peaks, so stagnation leaves its nominal
-        # scale alone; once narrower than any freshly initialized model
-        # it is in terminal polish, where only a short streak is
-        # tolerated before every stagnant generation shrinks it.
-        wide = np.count_nonzero(scale >= state.floors[0]) > 0
-        hold = wide or nis <= STAGNATION_GRACE
-        if c_mult > 1.0 or not hold:
-            c_mult *= ETA_DEC
-        if hold and c_mult < 1.0:
-            c_mult = 1.0
-    c_mult = min(max(c_mult, C_MULT_MIN), C_MULT_MAX)
+    material = gen_best_f > best_f + MATERIAL_GAIN_REL * np.maximum(
+        1.0, np.abs(best_f))
+    # The selection is sorted fittest first, so the rows that beat the
+    # tracked best lead it: their mean, in unmultiplied standard
+    # deviations from the model's mean, is how far improvements land.
+    # An inflated model thus still registers far-flung improvements as
+    # "beyond one deviation" and keeps growing.
+    beat = sel_f > best_f[:, None]
+    n_beat = np.count_nonzero(beat, axis=1)
+    avg_improvement = np.add.reduce(selected * beat[:, :, None], axis=1)
+    avg_improvement /= np.maximum(n_beat, 1)[:, None]
+    sdr = np.abs((avg_improvement - mean) / stddev).max(axis=1)
+    grown = np.maximum(c_mult, 1.0)
+    grown = np.where(sdr > SDR_THRESHOLD, grown * ETA_INC, grown)
+    nis = np.where(material, 0, stack.nis[:k] + 1)
+    # A model still wider than the initialization floor may be
+    # straddling several peaks, so stagnation leaves its nominal scale
+    # alone; once narrower than any freshly initialized model it is in
+    # terminal polish, where only a short streak is tolerated before
+    # every stagnant generation shrinks it.
+    hold = (scale >= stack.floors[0]).any(axis=1) | (nis <= STAGNATION_GRACE)
+    held = np.where((c_mult > 1.0) | ~hold, c_mult * ETA_DEC, c_mult)
+    held = np.where(hold & (held < 1.0), 1.0, held)
+    new_c_mult = np.where(material, grown, held)
+    np.maximum(new_c_mult, C_MULT_MIN, out=new_c_mult)
+    np.minimum(new_c_mult, C_MULT_MAX, out=new_c_mult)
 
-    # ndarray.mean and ndarray.std(ddof=1) spelled out as the ufunc
-    # calls they make, sharing the mean: same operations, same bits.
-    new_mean = np.add.reduce(selected, axis=0)
+    # ndarray.mean and ndarray.std(ddof=1) of each search's selection
+    # spelled out as the ufunc calls they make, sharing the mean: same
+    # operations, same bits.
+    new_mean = np.add.reduce(selected, axis=1)
     new_mean /= n_sel
     if n_sel > 1:
-        np.subtract(selected, new_mean, out=selected)
+        np.subtract(selected, new_mean[:, None, :], out=selected)
         np.square(selected, out=selected)
-        new_stddev = np.add.reduce(selected, axis=0)
+        new_stddev = np.add.reduce(selected, axis=1)
         new_stddev /= n_sel - 1
         np.sqrt(new_stddev, out=new_stddev)
     else:
-        new_stddev = np.zeros(bounds.d)
-    np.maximum(new_stddev, state.floors[1], out=new_stddev)
+        new_stddev = np.zeros((k, d))
+    np.maximum(new_stddev, stack.floors[1], out=new_stddev)
 
-    collapsed = np.count_nonzero(c_mult * new_stddev < state.floors[2])
-    terminated = (nis > nis_limit(bounds.d) or collapsed == bounds.d
-                  or spread < FITNESS_TOL)
-    return CoreSearchState(new_mean, new_stddev, c_mult, pop, nis, best,
-                           state.mean, state.generation + 1, bounds,
-                           state.floors, terminated)
+    collapsed = (new_c_mult[:, None] * new_stddev < stack.floors[2]).all(
+        axis=1)
+    stop = (nis > nis_limit(d)) | collapsed | (spread < FITNESS_TOL)
+    go = np.flatnonzero(~stop)
+    stopped = ()
+    if len(go) < stack.size:
+        stopped = tuple(
+            [Solution(new_best_x[i], float(new_best_f[i]),
+                      int(new_best_index[i])) for i in np.flatnonzero(stop)]
+            + [Solution(stack.best_x[i], float(stack.best_f[i]),
+                        int(stack.best_index[i]))
+               for i in range(k, stack.size)])
+    return CoreSearchStack(
+        mean=new_mean[go], stddev=new_stddev[go], prev_mean=mean[go],
+        c_mult=new_c_mult[go], nis=nis[go], best_x=new_best_x[go],
+        best_f=new_best_f[go], best_index=new_best_index[go], pop_size=pop,
+        bounds=bounds, floors=stack.floors, generation=stack.generation + k,
+        stopped=stopped)

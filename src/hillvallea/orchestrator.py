@@ -3,10 +3,16 @@
 Repeats until the evaluation budget runs out: sample an initial
 population (biased away from the previous restart's known basins),
 select the fittest fraction, cluster it into niches, run one core
-search per cluster in descending best-fitness order, and feed each
-terminated search's best solution to the elite archive. The first
-population is the base size times the dimension; population size
-doubles and the cluster-size factor grows by 1.1x per restart.
+search per cluster, and feed each search's best solution to the elite
+archive as soon as the search stops. The first population is the base
+size times the dimension; population size doubles and the cluster-size
+factor grows by 1.1x per restart.
+
+A restart's core searches run in lockstep, as one stack that a single
+step moves a generation forward. Clusters join it in descending
+best-fitness order while the budget could see the stack through, so a
+tight budget still goes to the fittest clusters first; searches that
+stop in the same generation are offered to the archive in that order.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amalgam import (core_search_step, guideline_pop_size,
-                      init_core_search)
+                      init_core_search, join_core_searches, nis_limit)
 from .bounds import Bounds
 from .hillvalley import (expected_edge_length, hill_valley_clustering,
                          hill_valley_test, n_test_points)
@@ -130,6 +136,8 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI,
     # the previous restart's selection and the cluster of each point
     points, labels = np.empty((0, bounds.d)), np.empty(0, dtype=np.intp)
     p = dataclasses.replace(p0, n=p0.n * bounds.d)
+    # generations stepped and searches run in the finished restarts
+    gens, searches = 0, 0
 
     while ev.remaining >= p.n:
         xs = sample_initial_population(p.n, bounds, points, labels, rng)
@@ -142,15 +150,37 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI,
         clusters = hill_valley_clustering(points, ev, bounds, fitness)
 
         pop_size = cluster_pop_size(p, bounds.d)
-        for cluster in clusters:
-            if ev.remaining == 0:
+        # A cluster joins the stack while the stack, it included, could
+        # last as long as the run's earlier searches did on average, and
+        # at least nis_limit(d) generations, within the budget. So a
+        # tight budget goes to the fittest clusters first, as when they
+        # were searched one after another; a cluster joins an empty
+        # stack whenever it can take a step at all.
+        life = pop_size * max(nis_limit(bounds.d), gens / max(searches, 1))
+        stack, joined = None, 0
+        while True:
+            size = stack.size if stack is not None else 0
+            joining = []
+            while joined < len(clusters) and ev.remaining >= (
+                    (size + 1) * life if size else pop_size):
+                cluster = clusters[joined]
+                j = order[cluster[0]]
+                best = Solution(xs[j], float(fs[j]), base_index + int(j) + 1)
+                joining.append(init_core_search(points[cluster], best,
+                                                pop_size, bounds))
+                joined += 1
+                size += 1
+            if not size:
                 break
-            j = order[cluster[0]]
-            best = Solution(xs[j], float(fs[j]), base_index + int(j) + 1)
-            state = init_core_search(points[cluster], best, pop_size, bounds)
-            while not state.terminated:
-                state = core_search_step(state, ev, rng)
-            update_elite_archive(elites, state.best, ev, bounds)
+            if joining:
+                stack = join_core_searches(
+                    joining if stack is None else [stack, *joining])
+            stack = core_search_step(stack, ev, rng)
+            for best in stack.stopped:
+                update_elite_archive(elites, best, ev, bounds)
+        if stack is not None:
+            gens += stack.generation
+            searches += joined
 
         points = points[np.concatenate(clusters)]
         labels = np.repeat(np.arange(len(clusters)), list(map(len, clusters)))

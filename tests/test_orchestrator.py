@@ -336,3 +336,41 @@ def test_first_population_is_base_size_times_dimension(d, p0):
 
     run(dataclasses.replace(problem, fn=fn), p0, seed=0)
     assert batches[0] == p0.n * d
+
+
+def test_a_tight_budget_searches_the_fittest_clusters_first(monkeypatch):
+    """When a restart's budget cannot search all its clusters, the
+    searches started are those of its first (fittest) clusters, and
+    every started search's best is offered to the archive once."""
+    cluster_fn = orchestrator.hill_valley_clustering
+    init_fn = orchestrator.init_core_search
+    offer_fn = orchestrator.update_elite_archive
+    restarts = []
+
+    def clustering(points, ev, bounds, fitness):
+        clusters = cluster_fn(points, ev, bounds, fitness)
+        restarts.append({"points": points, "clusters": clusters,
+                         "started": [], "offers": 0})
+        return clusters
+
+    def init(members, best, pop_size, bounds):
+        restarts[-1]["started"].append(members)
+        return init_fn(members, best, pop_size, bounds)
+
+    def offer(elites, candidate, ev, bounds):
+        restarts[-1]["offers"] += 1
+        return offer_fn(elites, candidate, ev, bounds)
+
+    monkeypatch.setattr(orchestrator, "hill_valley_clustering", clustering)
+    monkeypatch.setattr(orchestrator, "init_core_search", init)
+    monkeypatch.setattr(orchestrator, "update_elite_archive", offer)
+    problem = make_problem(8)
+    rec = RecordingObjective(problem.fn)
+    run(dataclasses.replace(problem, fn=rec, budget=10_000), seed=0)
+    assert rec.n_evals <= 10_000
+    for r in restarts:
+        assert r["offers"] == len(r["started"])
+        for members, cluster in zip(r["started"], r["clusters"]):
+            np.testing.assert_array_equal(members, r["points"][cluster])
+    last = restarts[-1]
+    assert 0 < len(last["started"]) < len(last["clusters"])
