@@ -17,6 +17,13 @@ import numpy as np
 from ..bounds import Bounds
 
 
+# Widest batch rows compared with the bounds in column order: numpy
+# iterates short rows several times slower than whole columns, while
+# from about eight columns on a column pass strides over more memory
+# than the rows it reads.
+_COLUMN_ORDER_MAX_D = 5
+
+
 class BudgetExhaustedError(RuntimeError):
     """Raised when an evaluation would exceed the budget."""
 
@@ -44,8 +51,6 @@ class Evaluator:
         # numpy compares with (1, d) bounds twice as fast as with (d,)
         self._lower = bounds.lower[None, :]
         self._upper = bounds.upper[None, :]
-        # (lower, upper) of each axis, for batches checked by column
-        self._axes = list(zip(bounds.lower.tolist(), bounds.upper.tolist()))
         self._d = bounds.d
 
     @property
@@ -84,29 +89,22 @@ class Evaluator:
         if remaining < n:
             raise BudgetExhaustedError(
                 f"{n} evaluations requested, {remaining} remaining")
-        if self._outside(xs):
-            outside = (xs < self._lower) | (xs > self._upper)
-            row = xs[np.count_nonzero(outside, axis=1) > 0][0]
+        # np.count_nonzero is a C function; ndarray.any goes through a
+        # Python wrapper that costs more than the comparison itself.
+        if n > 1 and self._d <= _COLUMN_ORDER_MAX_D:
+            outside = (np.count_nonzero(np.less(xs, self._lower, order="F"))
+                       or np.count_nonzero(np.greater(xs, self._upper,
+                                                      order="F")))
+        else:
+            outside = (np.count_nonzero(xs < self._lower)
+                       or np.count_nonzero(xs > self._upper))
+        if outside:
+            bad = (xs < self._lower) | (xs > self._upper)
+            row = xs[np.count_nonzero(bad, axis=1) > 0][0]
             raise OutOfBoundsError(f"point {row!r} outside the bounds")
         fs = _checked(self._fn(xs), n)
         self.evals_used += n
         return fs
-
-
-    def _outside(self, xs: np.ndarray) -> bool:
-        """Whether a row of xs leaves the box. A single point is compared
-        whole; a batch one column at a time, which numpy does several
-        times faster than rows of a few values."""
-        # np.count_nonzero is a C function; ndarray.any goes through a
-        # Python wrapper that costs more than the comparison itself.
-        if len(xs) == 1:
-            return bool(np.count_nonzero(xs < self._lower)
-                        or np.count_nonzero(xs > self._upper))
-        for j, (lo, hi) in enumerate(self._axes):
-            col = xs[:, j]
-            if np.count_nonzero(col < lo) or np.count_nonzero(col > hi):
-                return True
-        return False
 
 
 def _checked(fs: np.ndarray, n: int) -> np.ndarray:
