@@ -143,7 +143,7 @@ def test_step_is_deterministic():
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_step_without_budget_stops_without_consuming():
+def test_step_without_budget_terminates_without_consuming():
     ev = Evaluator(OFFSET_BOWL, WIDE, 7)   # fewer than one population
     stack = init_core_search(*unit_spread_cluster(), 10, WIDE)
     stepped = core_search_step(stack, ev, np.random.default_rng(0))
@@ -497,7 +497,7 @@ def test_terminates_on_long_no_improvement_stretch():
     assert past.size == 0 and len(past.stopped) == 1
 
 
-def test_terminates_on_flat_selection():
+def test_terminates_on_flat_selection_and_on_flag():
     """A constant objective gives a selection without fitness spread,
     which stops the search on the first step."""
     ev = Evaluator(lambda xs: np.zeros(len(xs)), WIDE, BIG)
