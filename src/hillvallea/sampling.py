@@ -348,12 +348,7 @@ def _grid_farthest_points(candidates: np.ndarray, k: int,
         np.minimum(cell, nx[j] - 1, out=cell)
         flat *= nx[j]
         flat += cell
-    # Stable sort of the cell indices, below 2**32, as two counting
-    # sorts of 16-bit digits, low digit first: numpy sorts 16-bit keys
-    # stably by counting them, in linear time.
-    order = np.argsort((flat & 0xFFFF).astype(np.uint16), kind="stable")
-    order = order[np.argsort((flat >> 16).astype(np.uint16)[order],
-                             kind="stable")]
+    order = np.argsort(flat, kind="stable")
     starts = np.zeros(int(nx.prod()) + 1, dtype=np.int64)
     np.cumsum(np.bincount(flat, minlength=len(starts) - 1), out=starts[1:])
 
