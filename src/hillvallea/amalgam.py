@@ -109,8 +109,7 @@ def init_core_search(members: np.ndarray, best: Solution, pop_size: int,
         stddev = members.std(axis=0, ddof=1)
     else:
         stddev = np.zeros(bounds.d)
-    floors = (INIT_STDDEV_FLOOR * bounds.range,
-              STEP_STDDEV_FLOOR * bounds.range, PARAM_TOL * bounds.range)
+    floors = _floors(bounds)
     stddev = np.maximum(stddev, floors[0])
     return CoreSearchStack(
         mean=mean[None, :],
@@ -120,6 +119,21 @@ def init_core_search(members: np.ndarray, best: Solution, pop_size: int,
         best_f=np.array([best.f]),
         best_index=np.array([best.eval_index], dtype=np.intp),
         pop_size=pop_size, bounds=bounds, floors=floors)
+
+
+def empty_core_search(pop_size: int, bounds: Bounds) -> CoreSearchStack:
+    """A stack with no searches, for searches to join."""
+    rows = np.empty((0, bounds.d))
+    return CoreSearchStack(
+        mean=rows, stddev=rows, prev_mean=rows, c_mult=np.empty(0),
+        nis=np.empty(0, dtype=np.intp), best_x=rows, best_f=np.empty(0),
+        best_index=np.empty(0, dtype=np.intp), pop_size=pop_size,
+        bounds=bounds, floors=_floors(bounds))
+
+
+def _floors(bounds: Bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (INIT_STDDEV_FLOOR * bounds.range,
+            STEP_STDDEV_FLOOR * bounds.range, PARAM_TOL * bounds.range)
 
 
 def join_core_searches(stacks: list[CoreSearchStack]) -> CoreSearchStack:

@@ -10,9 +10,12 @@ factor grows by 1.1x per restart.
 
 A restart's core searches run in lockstep, as one stack that a single
 step moves a generation forward. Clusters join it in descending
-best-fitness order while the budget could see the stack through, so a
-tight budget still goes to the fittest clusters first; searches that
-stop in the same generation are offered to the archive in that order.
+best-fitness order: the fittest alone, then two more for each search
+that stops, while the budget could see the stack through. So the first
+optima arrive early, and a tight budget still goes to the fittest
+clusters first. Searches that stop in the same generation are offered
+to the archive in that order; clusters the budget left out offer their
+fittest members.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amalgam import (core_search_step, guideline_pop_size,
-                      init_core_search, join_core_searches, nis_limit)
+from .amalgam import (core_search_step, empty_core_search,
+                      guideline_pop_size, init_core_search,
+                      join_core_searches, nis_limit)
 from .bounds import Bounds
 from .hillvalley import (expected_edge_length, hill_valley_clustering,
                          hill_valley_test, n_test_points)
@@ -136,8 +140,6 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI,
     # the previous restart's selection and the cluster of each point
     points, labels = np.empty((0, bounds.d)), np.empty(0, dtype=np.intp)
     p = dataclasses.replace(p0, n=p0.n * bounds.d)
-    # generations stepped and searches run in the finished restarts
-    gens, searches = 0, 0
 
     while ev.remaining >= p.n:
         xs = sample_initial_population(p.n, bounds, points, labels, rng)
@@ -149,38 +151,48 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI,
         points, fitness = xs[order], fs[order]
         clusters = hill_valley_clustering(points, ev, bounds, fitness)
 
+        def cluster_best(cluster: np.ndarray) -> Solution:
+            """The cluster's fittest member, stamped with its index in
+            the restart's initial population."""
+            j = order[cluster[0]]
+            return Solution(xs[j], float(fs[j]), base_index + int(j) + 1)
+
         pop_size = cluster_pop_size(p, bounds.d)
-        # A cluster joins the stack while the stack, it included, could
-        # last as long as the run's earlier searches did on average, and
-        # at least nis_limit(d) generations, within the budget. So a
-        # tight budget goes to the fittest clusters first, as when they
-        # were searched one after another; a cluster joins an empty
-        # stack whenever it can take a step at all.
-        life = pop_size * max(nis_limit(bounds.d), gens / max(searches, 1))
-        stack, joined = None, 0
+        # The restart's fittest cluster is searched alone, and each
+        # search that stops lets two more clusters join, so the stack
+        # doubles with every search length: the first optima reach the
+        # archive about as early as when the clusters were searched one
+        # after another, and the restart's later generations still step
+        # many searches at once. A cluster joins only while the stack,
+        # it included, could last nis_limit(d) generations within the
+        # budget, so a tight budget goes to the fittest clusters first;
+        # it joins an empty stack whenever it can take a step at all.
+        life = pop_size * nis_limit(bounds.d)
+        stack = empty_core_search(pop_size, bounds)
+        joined = stopped = 0
         while True:
-            size = stack.size if stack is not None else 0
-            joining = []
-            while joined < len(clusters) and ev.remaining >= (
-                    (size + 1) * life if size else pop_size):
-                cluster = clusters[joined]
-                j = order[cluster[0]]
-                best = Solution(xs[j], float(fs[j]), base_index + int(j) + 1)
-                joining.append(init_core_search(points[cluster], best,
-                                                pop_size, bounds))
-                joined += 1
-                size += 1
-            if not size:
-                break
+            room = min(int(ev.remaining // life), 1 + stopped) - stack.size
+            if not stack.size and ev.remaining >= pop_size:
+                room = max(room, 1)
+            joining = clusters[joined:joined + max(room, 0)]
             if joining:
-                stack = join_core_searches(
-                    joining if stack is None else [stack, *joining])
+                stack = join_core_searches([stack, *(
+                    init_core_search(points[c], cluster_best(c), pop_size,
+                                     bounds)
+                    for c in joining)])
+                joined += len(joining)
+            if not stack.size:
+                break
             stack = core_search_step(stack, ev, rng)
+            stopped += len(stack.stopped)
             for best in stack.stopped:
                 update_elite_archive(elites, best, ev, bounds)
-        if stack is not None:
-            gens += stack.generation
-            searches += joined
+        # The clusters left out when the budget ran low offer their
+        # fittest members, as unstepped searches.
+        for cluster in clusters[joined:]:
+            if ev.remaining == 0:
+                break
+            update_elite_archive(elites, cluster_best(cluster), ev, bounds)
 
         points = points[np.concatenate(clusters)]
         labels = np.repeat(np.arange(len(clusters)), list(map(len, clusters)))

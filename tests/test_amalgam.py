@@ -16,9 +16,9 @@ from hillvallea.amalgam import (AMS_FRACTION, C_MULT_MAX, C_MULT_MIN,
                                 INIT_STDDEV_FLOOR, MATERIAL_GAIN_REL,
                                 PARAM_TOL, SDR_THRESHOLD, SELECTION_FRACTION,
                                 STAGNATION_GRACE, STEP_STDDEV_FLOOR,
-                                core_search_step, guideline_pop_size,
-                                init_core_search, join_core_searches,
-                                nis_limit)
+                                core_search_step, empty_core_search,
+                                guideline_pop_size, init_core_search,
+                                join_core_searches, nis_limit)
 from hillvallea.bounds import Bounds
 from hillvallea.problems.evaluator import Evaluator, Solution
 
@@ -102,6 +102,21 @@ def test_join_keeps_the_searches_in_order_and_sums_their_generations():
     np.testing.assert_array_equal(joined.mean, [[1.0], [2.0], [3.0]])
     np.testing.assert_array_equal(joined.best_index, [0, 1, 2])
     assert joined.pop_size == 10 and joined.bounds is WIDE
+
+
+def test_a_search_joined_to_an_empty_stack_is_unchanged():
+    member = Solution(np.array([2.0]), -1.0, 2)
+    alone = init_core_search(np.array([[2.0], [0.0]]), member, 10, WIDE)
+    empty = empty_core_search(10, WIDE)
+    assert empty.size == 0 and empty.generation == 0
+    joined = join_core_searches([empty, alone])
+    for field in dataclasses.fields(alone):
+        a, b = getattr(alone, field.name), getattr(joined, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+    for a, b in zip(alone.floors, joined.floors):
+        np.testing.assert_array_equal(a, b)
 
 
 # --- stepping ---------------------------------------------------------------

@@ -338,10 +338,10 @@ def test_first_population_is_base_size_times_dimension(d, p0):
     assert batches[0] == p0.n * d
 
 
-def test_a_tight_budget_searches_the_fittest_clusters_first(monkeypatch):
-    """When a restart's budget cannot search all its clusters, the
-    searches started are those of its first (fittest) clusters, and
-    every started search's best is offered to the archive once."""
+def _record_restarts(monkeypatch):
+    """Per restart: its selected points, its clusters, the members of
+    each cluster whose search started, and the candidates offered to
+    the archive, in call order."""
     cluster_fn = orchestrator.hill_valley_clustering
     init_fn = orchestrator.init_core_search
     offer_fn = orchestrator.update_elite_archive
@@ -350,7 +350,7 @@ def test_a_tight_budget_searches_the_fittest_clusters_first(monkeypatch):
     def clustering(points, ev, bounds, fitness):
         clusters = cluster_fn(points, ev, bounds, fitness)
         restarts.append({"points": points, "clusters": clusters,
-                         "started": [], "offers": 0})
+                         "started": [], "offers": []})
         return clusters
 
     def init(members, best, pop_size, bounds):
@@ -358,19 +358,80 @@ def test_a_tight_budget_searches_the_fittest_clusters_first(monkeypatch):
         return init_fn(members, best, pop_size, bounds)
 
     def offer(elites, candidate, ev, bounds):
-        restarts[-1]["offers"] += 1
+        restarts[-1]["offers"].append(candidate)
         return offer_fn(elites, candidate, ev, bounds)
 
     monkeypatch.setattr(orchestrator, "hill_valley_clustering", clustering)
     monkeypatch.setattr(orchestrator, "init_core_search", init)
     monkeypatch.setattr(orchestrator, "update_elite_archive", offer)
+    return restarts
+
+
+def _check_cluster_order(restarts):
+    """Searches start for a prefix of each restart's clusters, and each
+    offers its best once; after them, clusters left out offer their
+    fittest members in cluster order."""
+    for r in restarts:
+        started, clusters = r["started"], r["clusters"]
+        for members, cluster in zip(started, clusters):
+            np.testing.assert_array_equal(members, r["points"][cluster])
+        left_out = r["offers"][len(started):]
+        assert len(left_out) <= len(clusters) - len(started)
+        for candidate, cluster in zip(left_out, clusters[len(started):]):
+            np.testing.assert_array_equal(candidate.x,
+                                          r["points"][cluster[0]])
+
+
+def test_a_tight_budget_searches_the_fittest_clusters_first(monkeypatch):
+    """When a restart's budget cannot search all its clusters, the
+    searches started are those of its first (fittest) clusters, and
+    every started search's best is offered to the archive once."""
+    restarts = _record_restarts(monkeypatch)
     problem = make_problem(8)
     rec = RecordingObjective(problem.fn)
     run(dataclasses.replace(problem, fn=rec, budget=10_000), seed=0)
     assert rec.n_evals <= 10_000
-    for r in restarts:
-        assert r["offers"] == len(r["started"])
-        for members, cluster in zip(r["started"], r["clusters"]):
-            np.testing.assert_array_equal(members, r["points"][cluster])
+    _check_cluster_order(restarts)
     last = restarts[-1]
     assert 0 < len(last["started"]) < len(last["clusters"])
+    assert len(last["offers"]) >= len(last["started"])
+
+
+def test_clusters_left_out_offer_their_fittest_members(monkeypatch):
+    """Once the budget is too low for another search, the clusters that
+    never joined the stack still offer their fittest members, in
+    cluster order, while any budget remains."""
+    restarts = _record_restarts(monkeypatch)
+    problem = make_problem(8)
+    run(dataclasses.replace(problem, budget=4_000), seed=1)
+    _check_cluster_order(restarts)
+    last = restarts[-1]
+    assert len(last["offers"]) > len(last["started"])
+
+
+def test_a_restart_searches_its_fittest_cluster_alone_first(monkeypatch):
+    """Each restart's first step moves one search; after that the stack
+    holds at most one search more than the restart has seen stop, and
+    it still grows to step many searches at once."""
+    cluster_fn = orchestrator.hill_valley_clustering
+    step_fn = orchestrator.core_search_step
+    restarts = []
+
+    def clustering(points, ev, bounds, fitness):
+        restarts.append({"sizes": [], "stopped": 0})
+        return cluster_fn(points, ev, bounds, fitness)
+
+    def step(stack, ev, rng):
+        r = restarts[-1]
+        assert stack.size <= 1 + r["stopped"]
+        r["sizes"].append(stack.size)
+        stack = step_fn(stack, ev, rng)
+        r["stopped"] += len(stack.stopped)
+        return stack
+
+    monkeypatch.setattr(orchestrator, "hill_valley_clustering", clustering)
+    monkeypatch.setattr(orchestrator, "core_search_step", step)
+    run(make_problem(6), seed=0)
+    assert len(restarts) > 1
+    assert all(r["sizes"][0] == 1 for r in restarts if r["sizes"])
+    assert max(max(r["sizes"], default=0) for r in restarts) >= 16
