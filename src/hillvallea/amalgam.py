@@ -82,9 +82,6 @@ class CoreSearchStack:
     best_index: np.ndarray  # (C,) evaluation index of each best
     pop_size: int
     bounds: Bounds
-    # INIT_STDDEV_FLOOR, STEP_STDDEV_FLOOR and PARAM_TOL times the
-    # bounds' range, worked out once per search
-    floors: tuple[np.ndarray, np.ndarray, np.ndarray]
     generation: int = 0
     stopped: tuple[Solution, ...] = ()
 
@@ -109,8 +106,7 @@ def init_core_search(members: np.ndarray, best: Solution, pop_size: int,
         stddev = members.std(axis=0, ddof=1)
     else:
         stddev = np.zeros(bounds.d)
-    floors = _floors(bounds)
-    stddev = np.maximum(stddev, floors[0])
+    stddev = np.maximum(stddev, INIT_STDDEV_FLOOR * bounds.range)
     return CoreSearchStack(
         mean=mean[None, :],
         stddev=stddev[None, :], prev_mean=mean[None, :].copy(),
@@ -118,7 +114,7 @@ def init_core_search(members: np.ndarray, best: Solution, pop_size: int,
         best_x=np.array(best.x, dtype=float)[None, :],
         best_f=np.array([best.f]),
         best_index=np.array([best.eval_index], dtype=np.intp),
-        pop_size=pop_size, bounds=bounds, floors=floors)
+        pop_size=pop_size, bounds=bounds)
 
 
 def empty_core_search(pop_size: int, bounds: Bounds) -> CoreSearchStack:
@@ -128,27 +124,17 @@ def empty_core_search(pop_size: int, bounds: Bounds) -> CoreSearchStack:
         mean=rows, stddev=rows, prev_mean=rows, c_mult=np.empty(0),
         nis=np.empty(0, dtype=np.intp), best_x=rows, best_f=np.empty(0),
         best_index=np.empty(0, dtype=np.intp), pop_size=pop_size,
-        bounds=bounds, floors=_floors(bounds))
-
-
-def _floors(bounds: Bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (INIT_STDDEV_FLOOR * bounds.range,
-            STEP_STDDEV_FLOOR * bounds.range, PARAM_TOL * bounds.range)
+        bounds=bounds)
 
 
 def join_core_searches(stacks: list[CoreSearchStack]) -> CoreSearchStack:
     """One stack holding the active searches of all of `stacks`, which
     share a population size and bounds, in their order."""
-    first = stacks[0]
-
-    def rows(name):
-        return np.concatenate([getattr(s, name) for s in stacks])
-
+    rows = {name: np.concatenate([getattr(s, name) for s in stacks])
+            for name in ("mean", "stddev", "prev_mean", "c_mult", "nis",
+                         "best_x", "best_f", "best_index")}
     return CoreSearchStack(
-        mean=rows("mean"), stddev=rows("stddev"), prev_mean=rows("prev_mean"),
-        c_mult=rows("c_mult"), nis=rows("nis"), best_x=rows("best_x"),
-        best_f=rows("best_f"), best_index=rows("best_index"),
-        pop_size=first.pop_size, bounds=first.bounds, floors=first.floors,
+        **rows, pop_size=stacks[0].pop_size, bounds=stacks[0].bounds,
         generation=sum(s.generation for s in stacks))
 
 
@@ -183,12 +169,8 @@ def core_search_step(stack: CoreSearchStack, ev: Evaluator,
         shift = (DELTA_AMS * c_mult)[:, None] * (mean - stack.prev_mean[:k])
         xs[:, :n_ams] += shift[:, None, :]
     flat = xs.reshape(k * pop, d)
-    # Whole columns are clamped one at a time, which numpy does several
-    # times faster than short rows.
-    for j in range(d):
-        col = flat[:, j]
-        np.maximum(col, bounds.lower[j], out=col)
-        np.minimum(col, bounds.upper[j], out=col)
+    np.maximum(flat, bounds.lower, out=flat)
+    np.minimum(flat, bounds.upper, out=flat)
 
     base_index = ev.evals_used
     fs = ev.evaluate_batch(flat)
@@ -237,7 +219,8 @@ def core_search_step(stack: CoreSearchStack, ev: Evaluator,
     # alone; once narrower than any freshly initialized model it is in
     # terminal polish, where only a short streak is tolerated before
     # every stagnant generation shrinks it.
-    hold = (scale >= stack.floors[0]).any(axis=1) | (nis <= STAGNATION_GRACE)
+    hold = ((scale >= INIT_STDDEV_FLOOR * bounds.range).any(axis=1)
+            | (nis <= STAGNATION_GRACE))
     held = np.where((c_mult > 1.0) | ~hold, c_mult * ETA_DEC, c_mult)
     held = np.where(hold & (held < 1.0), 1.0, held)
     new_c_mult = np.where(material, grown, held)
@@ -257,10 +240,10 @@ def core_search_step(stack: CoreSearchStack, ev: Evaluator,
         np.sqrt(new_stddev, out=new_stddev)
     else:
         new_stddev = np.zeros((k, d))
-    np.maximum(new_stddev, stack.floors[1], out=new_stddev)
+    np.maximum(new_stddev, STEP_STDDEV_FLOOR * bounds.range, out=new_stddev)
 
-    collapsed = (new_c_mult[:, None] * new_stddev < stack.floors[2]).all(
-        axis=1)
+    collapsed = (new_c_mult[:, None] * new_stddev
+                 < PARAM_TOL * bounds.range).all(axis=1)
     stop = (nis > nis_limit(d)) | collapsed | (spread < FITNESS_TOL)
     go = np.flatnonzero(~stop)
     stopped = ()
@@ -275,5 +258,5 @@ def core_search_step(stack: CoreSearchStack, ev: Evaluator,
         mean=new_mean[go], stddev=new_stddev[go], prev_mean=mean[go],
         c_mult=new_c_mult[go], nis=nis[go], best_x=new_best_x[go],
         best_f=new_best_f[go], best_index=new_best_index[go], pop_size=pop,
-        bounds=bounds, floors=stack.floors, generation=stack.generation + k,
+        bounds=bounds, generation=stack.generation + k,
         stopped=stopped)

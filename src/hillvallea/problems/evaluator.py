@@ -17,15 +17,6 @@ import numpy as np
 from ..bounds import Bounds
 
 
-# Widest rows compared with the bounds in column order (order="F"),
-# which numpy iterates faster than short rows but slower than long
-# ones. One check of a 2000-row batch at one BLAS thread, row order ->
-# column order: d = 4 31.8 -> 20.3 us, d = 5 31.0 -> 25.8 us, d = 6
-# 32.8 -> 30.6 us, d = 8 41.7 -> 53.5 us, d = 10 38.7 -> 55.6 us,
-# d = 20 64.6 -> 103.6 us.
-_COLUMN_ORDER_MAX_D = 5
-
-
 class BudgetExhaustedError(RuntimeError):
     """Raised when an evaluation would exceed the budget."""
 
@@ -54,7 +45,6 @@ class Evaluator:
         self._lower = bounds.lower[None, :]
         self._upper = bounds.upper[None, :]
         self._d = bounds.d
-        self._order = "F" if bounds.d <= _COLUMN_ORDER_MAX_D else "K"
 
     @property
     def remaining(self) -> int:
@@ -94,9 +84,8 @@ class Evaluator:
                 f"{n} evaluations requested, {remaining} remaining")
         # np.count_nonzero is a C function; ndarray.any goes through a
         # Python wrapper that costs more than the comparison itself.
-        if (np.count_nonzero(np.less(xs, self._lower, order=self._order))
-                or np.count_nonzero(np.greater(xs, self._upper,
-                                               order=self._order))):
+        if (np.count_nonzero(xs < self._lower)
+                or np.count_nonzero(xs > self._upper)):
             outside = (xs < self._lower) | (xs > self._upper)
             row = xs[np.count_nonzero(outside, axis=1) > 0][0]
             raise OutOfBoundsError(f"point {row!r} outside the bounds")

@@ -92,16 +92,35 @@ def test_init_two_member_cluster_mean_and_sample_stddev():
     assert stack.best_f[0] == -1.0 and stack.best_index[0] == 2
 
 
+def assert_one_row_per_search(stack):
+    for field in dataclasses.fields(stack):
+        value = getattr(stack, field.name)
+        if isinstance(value, np.ndarray):
+            assert len(value) == stack.size, field.name
+
+
 def test_join_keeps_the_searches_in_order_and_sums_their_generations():
     stacks = [init_core_search(np.array([[x]]), Solution(np.array([x]),
                                                          -x * x, i), 10, WIDE)
               for i, x in enumerate([1.0, 2.0, 3.0])]
-    stacks[1] = dataclasses.replace(stacks[1], generation=4)
+    # The middle search's samples all land on its mean, a flat
+    # selection that stops it at its first step.
+    stacks[1] = dataclasses.replace(stacks[1], generation=4,
+                                    stddev=np.array([[1e-300]]))
     joined = join_core_searches(stacks)
     assert joined.size == 3 and joined.generation == 4
+    assert_one_row_per_search(joined)
     np.testing.assert_array_equal(joined.mean, [[1.0], [2.0], [3.0]])
     np.testing.assert_array_equal(joined.best_index, [0, 1, 2])
     assert joined.pop_size == 10 and joined.bounds is WIDE
+
+    ev = Evaluator(quadratic_bowl([0.0]), WIDE, BIG)
+    stepped = core_search_step(joined, ev, np.random.default_rng(0))
+    assert stepped.size == 2 and stepped.generation == 7
+    assert_one_row_per_search(stepped)
+    np.testing.assert_array_equal(stepped.prev_mean, [[1.0], [3.0]])
+    (middle,) = stepped.stopped
+    assert middle.x[0] == 2.0 and middle.eval_index == 1
 
 
 def test_a_search_joined_to_an_empty_stack_is_unchanged():
@@ -115,8 +134,6 @@ def test_a_search_joined_to_an_empty_stack_is_unchanged():
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
-    for a, b in zip(alone.floors, joined.floors):
-        np.testing.assert_array_equal(a, b)
 
 
 # --- stepping ---------------------------------------------------------------
@@ -198,23 +215,30 @@ def test_a_short_budget_admits_searches_in_stack_order():
 
 def test_samples_stay_inside_bounds():
     """A mean parked on the boundary with a huge spread still only
-    evaluates in-bounds points (clamping, not resampling)."""
-    fn_box = []
+    evaluates in-bounds points (clamping, not resampling), each axis
+    within its own box."""
+    for bounds in (Bounds(np.array([-1.0]), np.array([1.0])),
+                   Bounds(np.array([-1.0, 0.0, 10.0]),
+                          np.array([1.0, 5.0, 12.0]))):
+        fn_box = []
 
-    def spy(xs):
-        fn_box.append(xs.copy())
-        return -np.abs(xs).sum(axis=1)
+        def spy(xs):
+            fn_box.append(xs.copy())
+            return -np.abs(xs).sum(axis=1)
 
-    bounds = Bounds(np.array([-1.0]), np.array([1.0]))
-    member = Solution(np.array([1.0]), -1.0, 1)
-    stack = init_core_search(member.x[None, :], member, 16, bounds)
-    stack = dataclasses.replace(stack, stddev=np.array([[100.0]]))
-    core_search_step(stack, Evaluator(spy, bounds, BIG),
-                     np.random.default_rng(3))
-    sampled = np.vstack(fn_box)
-    assert np.all(sampled >= -1.0) and np.all(sampled <= 1.0)
-    # The huge spread really did press against both walls.
-    assert sampled.min() == -1.0 and sampled.max() == 1.0
+        member = Solution(bounds.upper.copy(), -np.abs(bounds.upper).sum(), 1)
+        stack = init_core_search(member.x[None, :], member, 16, bounds)
+        stack = dataclasses.replace(stack,
+                                    stddev=np.full((1, bounds.d), 100.0))
+        core_search_step(stack, Evaluator(spy, bounds, BIG),
+                         np.random.default_rng(3))
+        sampled = np.vstack(fn_box)
+        assert np.all(sampled >= bounds.lower)
+        assert np.all(sampled <= bounds.upper)
+        # The huge spread really did press against both walls of every
+        # axis.
+        np.testing.assert_array_equal(sampled.min(axis=0), bounds.lower)
+        np.testing.assert_array_equal(sampled.max(axis=0), bounds.upper)
 
 
 @dataclass
