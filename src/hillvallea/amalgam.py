@@ -165,9 +165,8 @@ def core_search_step(stack: CoreSearchStack, ev: Evaluator,
     xs *= scale[:, None, :]
     xs += mean[:, None, :]
     n_ams = int(AMS_FRACTION * pop)
-    if n_ams > 0:
-        shift = (DELTA_AMS * c_mult)[:, None] * (mean - stack.prev_mean[:k])
-        xs[:, :n_ams] += shift[:, None, :]
+    shift = (DELTA_AMS * c_mult)[:, None] * (mean - stack.prev_mean[:k])
+    xs[:, :n_ams] += shift[:, None, :]
     flat = xs.reshape(k * pop, d)
     np.maximum(flat, bounds.lower, out=flat)
     np.minimum(flat, bounds.upper, out=flat)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .harness import ConfigError, ExperimentConfig, run_experiment
 from .problems.suite import InvalidProblemError, MissingDataError
-from .scoring import SCENARIOS
+from .scoring import SCENARIOS, ScoreReport
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def summary_lines(report: ScoreReport) -> list[str]:
+    """Each problem's scores, then their averages, as main prints them."""
+    lines = [f"problem {p.problem_id:2d}: "
+             + " ".join(f"{s}={p.score(s):.3f}" for s in SCENARIOS)
+             + f" over {p.n_runs} runs" for p in report.problems]
+    if report.problems:
+        lines.append("avg: " + " ".join(f"{s}={report.grand(s):.3f}"
+                                        for s in SCENARIOS))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -87,11 +98,6 @@ def main(argv: list[str] | None = None) -> int:
             budget_overrides=dict(parse_budget_override(s)
                                   for s in args.budget_override),
         )
-    except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         report, failures = run_experiment(cfg)
     except MissingDataError as exc:
         print(f"missing data: {exc}", file=sys.stderr)
@@ -99,22 +105,16 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidProblemError as exc:  # ids are checked before the data
         print(f"bad data: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
-    for p in report.problems:
-        scores = " ".join(f"{s}={p.score(s):.3f}" for s in SCENARIOS)
-        print(f"problem {p.problem_id:2d}: {scores} over {p.n_runs} runs")
-    if report.problems:
-        print("avg: " + " ".join(f"{s}={report.grand(s):.3f}"
-                                 for s in SCENARIOS))
-    if failures:
-        for fail in failures:
-            print(f"FAILED problem {fail.problem_id} run {fail.run_index}: "
-                  f"{fail.message}", file=sys.stderr)
-        return 3
-    return 0
+    for line in summary_lines(report):
+        print(line)
+    for fail in failures:
+        print(f"FAILED problem {fail.problem_id} run {fail.run_index}: "
+              f"{fail.message}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def entry() -> None:

@@ -169,8 +169,9 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI,
         # it joins an empty stack whenever it can take a step at all.
         life = pop_size * nis_limit(bounds.d)
         stack = empty_core_search(pop_size, bounds)
-        joined = stopped = 0
+        joined = 0
         while True:
+            stopped = joined - stack.size  # joined, no longer stacked
             room = min(int(ev.remaining // life), 1 + stopped) - stack.size
             if not stack.size and ev.remaining >= pop_size:
                 room = max(room, 1)
@@ -184,7 +185,6 @@ def run(problem: Problem, p0: RestartParams = DEFAULT_XI,
             if not stack.size:
                 break
             stack = core_search_step(stack, ev, rng)
-            stopped += len(stack.stopped)
             for best in stack.stopped:
                 update_elite_archive(elites, best, ev, bounds)
         # The clusters left out when the budget ran low offer their

@@ -82,12 +82,12 @@ class Evaluator:
         if remaining < n:
             raise BudgetExhaustedError(
                 f"{n} evaluations requested, {remaining} remaining")
-        # np.count_nonzero is a C function; ndarray.any goes through a
-        # Python wrapper that costs more than the comparison itself.
-        if (np.count_nonzero(xs < self._lower)
-                or np.count_nonzero(xs > self._upper)):
-            outside = (xs < self._lower) | (xs > self._upper)
-            row = xs[np.count_nonzero(outside, axis=1) > 0][0]
+        # In-box entries are counted, as every comparison with NaN is
+        # False; np.count_nonzero is C, ndarray.any a slower Python wrapper.
+        if (np.count_nonzero(xs >= self._lower)
+                + np.count_nonzero(xs <= self._upper) != 2 * xs.size):
+            inside = (xs >= self._lower) & (xs <= self._upper)
+            row = xs[np.count_nonzero(inside, axis=1) < self._d][0]
             raise OutOfBoundsError(f"point {row!r} outside the bounds")
         fs = _checked(self._fn(xs), n)
         self.evals_used += n

@@ -11,7 +11,6 @@ documented and runnable rather than executing it.
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import itertools
 import math
 import time
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hillvallea.cli import build_parser, parse_problem_ids
+from hillvallea.cli import build_parser, parse_problem_ids, summary_lines
 from hillvallea.harness import ExperimentConfig
 from hillvallea.hillvalley import (expected_edge_length,
                                    hill_valley_clustering, hill_valley_test)
@@ -31,8 +30,9 @@ from hillvallea.problems import functions
 from hillvallea.problems.evaluator import Evaluator, Solution
 from hillvallea.problems.suite import MissingDataError, make_problem
 from hillvallea.sampling import greedy_scattered_subset
-from hillvallea.scoring import (LevelScores, aggregate, count_distinct_global,
-                                f1, peak_ratio, score_run, success_rate)
+from hillvallea.scoring import (SCENARIOS, LevelScores, aggregate,
+                                count_distinct_global, f1, peak_ratio,
+                                score_run, success_rate)
 
 from conftest import BIG, bowl, make_solutions, min_pairwise_distance, \
     sorted_selection, synthetic_problem
@@ -406,30 +406,37 @@ def test_criterion_7_full_scale_reproduction_documented():
     assert cfg.problems == tuple(range(1, 21)) and cfg.runs == 50
 
 
-# --- README desk-scale table ------------------------------------------------
+# --- README desk-scale table and full-scale row -----------------------------
 
 
-def test_readme_desk_table_matches_desk_sweep(desk, composition_desk):
-    """The README's desk-scale rows are what scripts/desk_sweep.py
-    prints for the desk runs; composition rows are checked only when
-    their data files are available."""
-    spec = importlib.util.spec_from_file_location(
-        "desk_sweep", REPO / "scripts" / "desk_sweep.py")
-    desk_sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(desk_sweep)
-
+def test_readme_desk_table_matches_cli_summary(desk, composition_desk):
+    """README's desk-scale block is what the CLI prints for the desk
+    runs; when the composition data files are unavailable, only the
+    other problems' lines are checked."""
     section = (REPO / "README.md").read_text().split(
         "## Desk-scale results", 1)[1].split("\n## ", 1)[0]
-    readme = {int(line.split()[1]): line for line in section.splitlines()
-              if line.startswith("| ") and line.split()[1].isdigit()}
-    assert set(readme) == set(FAST_PIDS + HARD_PIDS + COMPOSITION_PIDS)
-
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
     composition, waiver = composition_desk
     groups = {**desk, **composition}
-    report = aggregate({pid: g.scores for pid, g in groups.items()})
-    expected = {p.problem_id: desk_sweep.readme_row(p)
-                for p in report.problems}
+    expected = summary_lines(
+        aggregate({pid: g.scores for pid, g in groups.items()}))
+    lines = block.splitlines()
     if waiver is not None:
-        readme = {pid: row for pid, row in readme.items()
-                  if pid not in COMPOSITION_PIDS}
-    assert readme == expected
+        lines = [line for line in lines if line.startswith("problem ")
+                 and int(line.split()[1].rstrip(":")) not in COMPOSITION_PIDS]
+        expected = expected[:-1]
+    assert lines == expected
+
+
+def test_readme_full_scale_row_matches_committed_table():
+    """README's grand S1/S2/S3 of the full-scale run are the committed
+    score table's avg rows, rounded to three decimals."""
+    table = REPO / "results" / "full_table" / "scores.csv"
+    grand = {}
+    for row in table.read_text().splitlines():
+        cells = row.split(",")
+        if cells[0] == "avg":
+            grand[cells[1]] = float(cells[2])
+    expected = ("| this package, 50 seeds | "
+                + " | ".join(f"{grand[s]:.3f}" for s in SCENARIOS) + " |")
+    assert expected in (REPO / "README.md").read_text().splitlines()

@@ -376,6 +376,27 @@ def test_batch_names_its_first_out_of_bounds_row():
     assert len(ev.evaluate_batch(xs)) == 2000
 
 
+def test_nan_coordinate_is_out_of_bounds():
+    """Every comparison with NaN is False, so a NaN coordinate must not
+    pass the box check: the objective below would clip it into the box
+    and score it."""
+    calls = []
+
+    def clipping(xs):
+        calls.append(len(xs))
+        return np.fmin(np.fmax(xs, 0.0), 1.0).sum(axis=1)  # NaN -> 0
+
+    ev = Evaluator(clipping, Bounds(np.zeros(2), np.ones(2)), 10)
+    with pytest.raises(OutOfBoundsError):
+        ev.evaluate(np.array([np.nan, 0.5]))
+    xs = np.full((5, 2), 0.5)
+    xs[3, 1] = np.nan
+    with pytest.raises(OutOfBoundsError) as err:
+        ev.evaluate_batch(xs)
+    assert repr(xs[3]) in str(err.value)
+    assert calls == [] and ev.evals_used == 0
+
+
 def test_empty_batch_is_free():
     ev = Evaluator(*EQUAL_MAXIMA, BIG)
     assert len(ev.evaluate_batch(np.empty((0, 1)))) == 0
